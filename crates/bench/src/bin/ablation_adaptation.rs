@@ -98,17 +98,14 @@ fn main() {
     println!("one ACK per buffer window, not to eke out extra CLF. The estimate itself does");
     println!("track the channel (see the adaptation integration tests).");
 
-    #[cfg(feature = "telemetry")]
-    {
-        let stats = espread_core::spread_cache_stats();
-        println!(
-            "\norder cache: {} hits / {} misses ({} entries, hit rate {:.1}%)",
-            stats.hits,
-            stats.misses,
-            stats.entries,
-            stats.hit_rate() * 100.0
-        );
-    }
+    let stats = espread_core::spread_cache_stats();
+    println!(
+        "\norder cache: {} hits / {} misses ({} entries, hit rate {:.1}%)",
+        stats.hits,
+        stats.misses,
+        stats.entries,
+        stats.hit_rate() * 100.0
+    );
 
     sweep::write_results(
         "ablation_adaptation",

@@ -113,32 +113,6 @@ fn run_client(server: std::net::SocketAddr, seed: u64, release: &Barrier) -> Out
     }
 }
 
-/// `(count, p50, p99, max)` of the server's window-RTT histogram.
-#[cfg(feature = "telemetry")]
-fn rtt_summary() -> (u64, u64, u64, u64) {
-    let snapshot = espread_telemetry::global().snapshot();
-    let Some(h) = snapshot.histogram("net.server.rtt_us") else {
-        return (0, 0, 0, 0);
-    };
-    let percentile = |q: f64| -> u64 {
-        let rank = ((q * h.count as f64).ceil() as u64).clamp(1, h.count);
-        let mut seen = 0;
-        for &(bound, n) in &h.buckets {
-            seen += n;
-            if seen >= rank {
-                return bound;
-            }
-        }
-        h.max
-    };
-    (h.count, percentile(0.50), percentile(0.99), h.max)
-}
-
-#[cfg(not(feature = "telemetry"))]
-fn rtt_summary() -> (u64, u64, u64, u64) {
-    (0, 0, 0, 0)
-}
-
 fn main() {
     // Accepted for script uniformity; concurrency is --sessions itself.
     let _ = sweep::jobs_from_args();
@@ -248,7 +222,7 @@ fn main() {
     );
 
     let rate = sessions as f64 / elapsed.as_secs_f64();
-    let (rtt_samples, rtt_p50, rtt_p99, rtt_max) = rtt_summary();
+    let (rtt_samples, rtt_p50, rtt_p99, rtt_max) = espread_bench::rtt_summary();
     println!(
         "{:<24} {:>12}\n{:<24} {:>12}\n{:<24} {:>12}\n{:<24} {:>12.3}\n\
          {:<24} {:>12.1}\n{:<24} {:>12}\n{:<24} {:>12}\n{:<24} {:>12}",

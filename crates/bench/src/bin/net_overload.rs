@@ -118,48 +118,17 @@ fn run_client(server: std::net::SocketAddr, critical: &[usize], release: &Barrie
     }
 }
 
-/// Overload counters from the global registry, zeros without telemetry.
+/// Overload counters from the global registry.
 fn overload_counters() -> (u64, u64, u64, u64, u64) {
-    #[cfg(feature = "telemetry")]
-    {
-        let snapshot = espread_telemetry::global().snapshot();
-        let c = |name: &str| snapshot.counter(name).unwrap_or(0);
-        (
-            c("net.server.busy_rejections"),
-            c("net.server.shed_enhancement"),
-            c("net.server.shed_stale_retx"),
-            c("net.server.watchdog_terminations"),
-            c("net.server.sessions_reaped"),
-        )
-    }
-    #[cfg(not(feature = "telemetry"))]
-    (0, 0, 0, 0, 0)
-}
-
-/// `(count, p50, p99, max)` of the server's window-RTT histogram.
-#[cfg(feature = "telemetry")]
-fn rtt_summary() -> (u64, u64, u64, u64) {
     let snapshot = espread_telemetry::global().snapshot();
-    let Some(h) = snapshot.histogram("net.server.rtt_us") else {
-        return (0, 0, 0, 0);
-    };
-    let percentile = |q: f64| -> u64 {
-        let rank = ((q * h.count as f64).ceil() as u64).clamp(1, h.count);
-        let mut seen = 0;
-        for &(bound, n) in &h.buckets {
-            seen += n;
-            if seen >= rank {
-                return bound;
-            }
-        }
-        h.max
-    };
-    (h.count, percentile(0.50), percentile(0.99), h.max)
-}
-
-#[cfg(not(feature = "telemetry"))]
-fn rtt_summary() -> (u64, u64, u64, u64) {
-    (0, 0, 0, 0)
+    let c = |name: &str| snapshot.counter(name).unwrap_or(0);
+    (
+        c("net.server.busy_rejections"),
+        c("net.server.shed_enhancement"),
+        c("net.server.shed_stale_retx"),
+        c("net.server.watchdog_terminations"),
+        c("net.server.sessions_reaped"),
+    )
 }
 
 fn main() {
@@ -289,20 +258,17 @@ fn main() {
     );
     assert_eq!(leaked, 0, "{leaked} sessions never reaped after the wave");
     assert_eq!(critical_lost, 0, "critical frames lost under overload");
-    #[cfg(feature = "telemetry")]
-    {
-        assert!(
-            shed_enhancement > 0,
-            "an unsustainable pace must shed enhancement frames"
-        );
-        assert!(
-            busy_rejections > 0,
-            "a wave of twice the cap must draw Busy refusals"
-        );
-    }
+    assert!(
+        shed_enhancement > 0,
+        "an unsustainable pace must shed enhancement frames"
+    );
+    assert!(
+        busy_rejections > 0,
+        "a wave of twice the cap must draw Busy refusals"
+    );
 
     let rate = wave as f64 / elapsed.as_secs_f64();
-    let (rtt_samples, rtt_p50, rtt_p99, rtt_max) = rtt_summary();
+    let (rtt_samples, rtt_p50, rtt_p99, rtt_max) = espread_bench::rtt_summary();
     println!(
         "{:<28}{:>10}\n{:<28}{:>10}\n{:<28}{:>10}\n{:<28}{:>10}\n{:<28}{:>10}\n\
          {:<28}{:>10}\n{:<28}{:>10}\n{:<28}{:>10}\n{:<28}{:>10}\n{:<28}{:>10}\n\

@@ -26,10 +26,20 @@
 //! violations, or malformed files.
 
 use std::process::ExitCode;
+use std::time::Duration;
 
 use espread_bench::sweep;
 use espread_exec::Json;
-use espread_obs::{parse_json_lines, reconstruct, Cause, TimelineReport, ALL_CAUSES};
+use espread_net::{
+    FaultPolicy, FaultProxy, NetClient, NetClientConfig, NetServer, NetServerConfig, RetryPolicy,
+    SessionRecorder,
+};
+use espread_obs::{
+    all_to_json_lines, parse_json_lines, reconstruct, trio, Cause, TimelineReport, ALL_CAUSES,
+    DEFAULT_CAPACITY,
+};
+use espread_protocol::{FecPolicy, ProtocolConfig, SessionOffer, StreamSource};
+use espread_trace::{GopPattern, Movie, MpegTrace};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -98,7 +108,7 @@ fn live() -> ExitCode {
          (seed {SEED}), flight-recorded at all three nodes\n"
     );
 
-    let (measured_clf, dump) = match session::run(SEED, WINDOWS) {
+    let (measured_clf, dump) = match recorded_session(SEED, WINDOWS) {
         Ok(out) => out,
         Err(e) => {
             eprintln!("session failed: {e}");
@@ -231,83 +241,58 @@ fn artifact(seed: u64, timeline: &TimelineReport, clf_match: bool) -> Json {
     doc
 }
 
-#[cfg(feature = "telemetry")]
-mod session {
-    use std::time::Duration;
-
-    use espread_net::{
-        FaultPolicy, FaultProxy, NetClient, NetClientConfig, NetServer, NetServerConfig,
-        RetryPolicy, SessionRecorder,
+/// Runs the recorded session; returns the client-measured per-window
+/// CLF values and the trio's JSONL dump.
+fn recorded_session(seed: u64, windows: usize) -> Result<(Vec<usize>, String), String> {
+    let (srec, prec, crec) = trio(DEFAULT_CAPACITY, 0);
+    let trace = MpegTrace::new(Movie::JurassicPark, 1);
+    let offer = SessionOffer {
+        gop_pattern: GopPattern::gop12(),
+        gops_per_window: 2,
+        open_gop: false,
+        fps: 24,
+        packet_bytes: 2048,
+        max_frame_bytes: 62_776 / 8,
+        fec: FecPolicy::off(),
     };
-    use espread_obs::{all_to_json_lines, trio, DEFAULT_CAPACITY};
-    use espread_protocol::{FecPolicy, ProtocolConfig, SessionOffer, StreamSource};
-    use espread_trace::{GopPattern, Movie, MpegTrace};
-
-    /// Runs the recorded session; returns the client-measured per-window
-    /// CLF values and the trio's JSONL dump.
-    pub fn run(seed: u64, windows: usize) -> Result<(Vec<usize>, String), String> {
-        let (srec, prec, crec) = trio(DEFAULT_CAPACITY, 0);
-        let trace = MpegTrace::new(Movie::JurassicPark, 1);
-        let offer = SessionOffer {
-            gop_pattern: GopPattern::gop12(),
-            gops_per_window: 2,
-            open_gop: false,
-            fps: 24,
-            packet_bytes: 2048,
-            max_frame_bytes: 62_776 / 8,
-            fec: FecPolicy::off(),
-        };
-        let mut server_config = NetServerConfig::new(
-            ProtocolConfig::paper(0.6, 1),
-            offer,
-            StreamSource::mpeg(&trace, 2, windows, false),
-        );
-        server_config.recorder = SessionRecorder::attached(srec.clone());
-        let mut server =
-            NetServer::bind("127.0.0.1:0", server_config).map_err(|e| e.to_string())?;
-        let mut proxy = FaultProxy::spawn_with_recorder(
-            server.local_addr(),
-            FaultPolicy::transparent().gilbert_data_loss(0.92, 0.6, seed),
-            FaultPolicy::transparent(),
-            SessionRecorder::attached(prec.clone()),
-        )
-        .map_err(|e| e.to_string())?;
-        let client_config = NetClientConfig {
-            recovery: true,
-            retry: RetryPolicy {
-                max_attempts: 6,
-                base: Duration::from_millis(20),
-                max: Duration::from_millis(200),
-            },
-            recorder: SessionRecorder::attached(crec.clone()),
-            ..NetClientConfig::default()
-        };
-        let report = NetClient::connect(proxy.client_addr(), client_config)
-            .and_then(|client| client.stream());
-        proxy.shutdown();
-        server.shutdown();
-        let report = report.map_err(|e| e.to_string())?;
-        if report.windows_completed != windows {
-            return Err(format!(
-                "only {}/{} windows completed",
-                report.windows_completed, windows
-            ));
-        }
-        let recordings = vec![srec.recording(), prec.recording(), crec.recording()];
-        Ok((
-            report.series.clf_values().collect(),
-            all_to_json_lines(&recordings),
-        ))
+    let mut server_config = NetServerConfig::new(
+        ProtocolConfig::paper(0.6, 1),
+        offer,
+        StreamSource::mpeg(&trace, 2, windows, false),
+    );
+    server_config.recorder = SessionRecorder::attached(srec.clone());
+    let mut server = NetServer::bind("127.0.0.1:0", server_config).map_err(|e| e.to_string())?;
+    let mut proxy = FaultProxy::spawn_with_recorder(
+        server.local_addr(),
+        FaultPolicy::transparent().gilbert_data_loss(0.92, 0.6, seed),
+        FaultPolicy::transparent(),
+        SessionRecorder::attached(prec.clone()),
+    )
+    .map_err(|e| e.to_string())?;
+    let client_config = NetClientConfig {
+        recovery: true,
+        retry: RetryPolicy {
+            max_attempts: 6,
+            base: Duration::from_millis(20),
+            max: Duration::from_millis(200),
+        },
+        recorder: SessionRecorder::attached(crec.clone()),
+        ..NetClientConfig::default()
+    };
+    let report =
+        NetClient::connect(proxy.client_addr(), client_config).and_then(|client| client.stream());
+    proxy.shutdown();
+    server.shutdown();
+    let report = report.map_err(|e| e.to_string())?;
+    if report.windows_completed != windows {
+        return Err(format!(
+            "only {}/{} windows completed",
+            report.windows_completed, windows
+        ));
     }
-}
-
-#[cfg(not(feature = "telemetry"))]
-mod session {
-    /// Without the `telemetry` feature nothing records; the live mode
-    /// cannot run (use `--check` on existing dumps instead).
-    pub fn run(_seed: u64, _windows: usize) -> Result<(Vec<usize>, String), String> {
-        Err("the live timeline mode needs the `telemetry` feature \
-             (use --check <dump.jsonl> instead)"
-            .into())
-    }
+    let recordings = vec![srec.recording(), prec.recording(), crec.recording()];
+    Ok((
+        report.series.clf_values().collect(),
+        all_to_json_lines(&recordings),
+    ))
 }

@@ -106,8 +106,7 @@ pub fn ascii_plot(title: &str, series: &[(&str, Vec<f64>)], height: usize) -> St
 
 /// Dumps the global telemetry snapshot to `results/telemetry_<name>.json`
 /// (JSON-lines) and reports the path on stdout. Call at the end of each
-/// experiment binary; without the `telemetry` feature this is a no-op.
-#[cfg(feature = "telemetry")]
+/// experiment binary.
 pub fn write_telemetry_snapshot(name: &str) {
     let snapshot = espread_telemetry::global().snapshot();
     let path = format!("results/telemetry_{name}.json");
@@ -122,9 +121,27 @@ pub fn write_telemetry_snapshot(name: &str) {
     }
 }
 
-/// No-op without the `telemetry` feature.
-#[cfg(not(feature = "telemetry"))]
-pub fn write_telemetry_snapshot(_name: &str) {}
+/// `(count, p50, p99, max)` of the server's window-RTT histogram
+/// (`net.server.rtt_us`) in the global registry; zeros before any
+/// window closed.
+pub fn rtt_summary() -> (u64, u64, u64, u64) {
+    let snapshot = espread_telemetry::global().snapshot();
+    let Some(h) = snapshot.histogram("net.server.rtt_us") else {
+        return (0, 0, 0, 0);
+    };
+    let percentile = |q: f64| -> u64 {
+        let rank = ((q * h.count as f64).ceil() as u64).clamp(1, h.count);
+        let mut seen = 0;
+        for &(bound, n) in &h.buckets {
+            seen += n;
+            if seen >= rank {
+                return bound;
+            }
+        }
+        h.max
+    };
+    (h.count, percentile(0.50), percentile(0.99), h.max)
+}
 
 /// Mean of a slice (0 when empty).
 pub fn mean(values: &[f64]) -> f64 {

@@ -22,12 +22,12 @@
 //!   rule at the wire limits: what `try_encode` accepts must decode
 //!   back exactly; what is oversize must be refused with a typed error
 //!   naming the field. A silently-truncating encoder fails every seed.
-//! * **Explained losses.** With the `telemetry` feature, every session
-//!   runs under an `espread-obs` flight-recorder trio; the reconstructed
-//!   timeline must attribute 100% of residual losses to a concrete
-//!   cause, hold causality (nothing delivered before it was sent), and
-//!   reproduce the client-measured per-window CLF from the recorded
-//!   burst/gap structure alone.
+//! * **Explained losses.** Every session runs under an `espread-obs`
+//!   flight-recorder trio; the reconstructed timeline must attribute
+//!   100% of residual losses to a concrete cause, hold causality
+//!   (nothing delivered before it was sent), and reproduce the
+//!   client-measured per-window CLF from the recorded burst/gap
+//!   structure alone.
 //!
 //! Determinism is the load-bearing property: everything a cell records
 //! is a pure function of its seed, so [`run_soak`] renders a

@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use espread_exec::{isolate, Executor};
 use espread_net::wire::{Hello, CONN_NONE};
 use espread_net::{
-    decode, encode, FaultProxy, Msg, NetClient, NetClientConfig, NetClientReport, NetError,
+    decode, try_encode, FaultProxy, Msg, NetClient, NetClientConfig, NetClientReport, NetError,
     NetServer, NetServerConfig, ProxyStats, RetryPolicy, SessionRecorder,
 };
 use espread_protocol::{
@@ -63,11 +63,10 @@ pub struct SoakConfig {
     /// invariant violation (a stalled session).
     pub cell_budget: Duration,
     /// Where to dump each cell's flight-recorder trace
-    /// (`timeline_seed<seed>.jsonl`). `None` (the default, and the only
-    /// behaviour without the `telemetry` feature) records no traces.
-    /// The dump path lands in [`CellReport::trace`] and on `REPRODUCER`
-    /// lines; the dumps themselves carry timestamps and sit outside the
-    /// byte-identical report contract.
+    /// (`timeline_seed<seed>.jsonl`). `None` (the default) records no
+    /// traces. The dump path lands in [`CellReport::trace`] and on
+    /// `REPRODUCER` lines; the dumps themselves carry timestamps and sit
+    /// outside the byte-identical report contract.
     pub trace_dir: Option<PathBuf>,
 }
 
@@ -184,8 +183,7 @@ fn run_cell(
 }
 
 /// Dispatches on the schedule's invariant regime. The final `String` is
-/// the cell's concatenated flight-recorder dump (empty without the
-/// `telemetry` feature).
+/// the cell's concatenated flight-recorder dump.
 fn e2e_stage(s: &FaultSchedule) -> (Vec<String>, Option<CompareOutcome>, String) {
     match s.mode {
         ChaosMode::Compare => compare_cell(s),
@@ -358,11 +356,10 @@ fn overload_offer(s: &FaultSchedule) -> SessionOffer {
 /// handshake flood, admitted ghosts that never `Begin`, a wedged reader
 /// that `Begin`s and then stops draining, and a real-client swarm at
 /// twice the cap — all over a clean loopback, because demand is the
-/// only fault. The telemetry variant additionally cross-checks the
-/// scoped counters (Busy refusals, cache evictions, watchdog
-/// terminations, admitted == reaped) and replays the flight recording
-/// to prove no *critical* frame was ever shed.
-#[cfg(feature = "telemetry")]
+/// only fault. The scoped counters are cross-checked (Busy refusals,
+/// cache evictions, watchdog terminations, admitted == reaped) and the
+/// flight recording is replayed to prove no *critical* frame was ever
+/// shed.
 fn overload_cell(s: &FaultSchedule) -> (Vec<String>, String) {
     use espread_obs::{
         all_to_json_lines, reconstruct, trio, Cause, FrameOutcome, DEFAULT_CAPACITY,
@@ -442,21 +439,10 @@ fn overload_cell(s: &FaultSchedule) -> (Vec<String>, String) {
     (v, all_to_json_lines(&recordings))
 }
 
-/// Without the telemetry feature there are no counters to cross-check
-/// and no recording to replay, but the storm and its structural
-/// invariants (the cap, the drain back to zero, typed outcomes) still
-/// run.
-#[cfg(not(feature = "telemetry"))]
-fn overload_cell(s: &FaultSchedule) -> (Vec<String>, String) {
-    let v = overload_run(s, SessionRecorder::disabled(), SessionRecorder::disabled());
-    (v, String::new())
-}
-
-/// The storm itself, shared by both feature states. Returns violations
-/// of everything observable without telemetry: admission beyond the
-/// cap, a missing Busy under guaranteed pressure, a Reject where Busy
-/// was owed, swarm wipeout, or a server that never drains back to zero
-/// live sessions.
+/// The storm itself. Returns violations of everything observable from
+/// outside the server: admission beyond the cap, a missing Busy under
+/// guaranteed pressure, a Reject where Busy was owed, swarm wipeout, or
+/// a server that never drains back to zero live sessions.
 fn overload_run(
     s: &FaultSchedule,
     server_rec: SessionRecorder,
@@ -617,16 +603,15 @@ fn wedged_reader(addr: SocketAddr, nonce: u64) -> Result<(), String> {
     socket
         .set_read_timeout(Some(Duration::from_secs(2)))
         .map_err(|e| e.to_string())?;
-    socket.send(&raw_hello(nonce)).map_err(|e| e.to_string())?;
+    socket.send(&raw_hello(nonce)?).map_err(|e| e.to_string())?;
     let mut buf = [0u8; 2048];
     let n = socket
         .recv(&mut buf)
         .map_err(|e| format!("no handshake reply: {e}"))?;
     match decode(&buf[..n]) {
         Ok((conn, Msg::Accept(_))) => {
-            socket
-                .send(&encode(conn, &Msg::Begin))
-                .map_err(|e| e.to_string())?;
+            let begin = try_encode(conn, &Msg::Begin).map_err(|e| e.to_string())?;
+            socket.send(&begin).map_err(|e| e.to_string())?;
             // Hold the socket open but never drain it: the wedge.
             thread::sleep(Duration::from_millis(1500));
             Ok(())
@@ -646,7 +631,7 @@ fn hello_flood(addr: SocketAddr, count: u32) -> Result<(usize, usize, usize), St
         .set_read_timeout(Some(Duration::from_millis(200)))
         .map_err(|e| e.to_string())?;
     for i in 0..count {
-        let hello = raw_hello(0xF100D << 32 | u64::from(i));
+        let hello = raw_hello(0xF100D << 32 | u64::from(i))?;
         socket.send(&hello).map_err(|e| e.to_string())?;
     }
     let (mut accepts, mut busies, mut rejects) = (0, 0, 0);
@@ -663,17 +648,15 @@ fn hello_flood(addr: SocketAddr, count: u32) -> Result<(usize, usize, usize), St
 }
 
 /// A well-formed Hello datagram with desktop-class capabilities.
-fn raw_hello(nonce: u64) -> Vec<u8> {
+fn raw_hello(nonce: u64) -> Result<Vec<u8>, String> {
     let caps = ClientCapabilities::desktop();
-    encode(
-        CONN_NONE,
-        &Msg::Hello(Hello {
-            nonce,
-            buffer_bytes: caps.buffer_bytes,
-            max_startup_delay_ms: caps.max_startup_delay_ms,
-            ordering: Ordering::spread(),
-        }),
-    )
+    let hello = Msg::Hello(Hello {
+        nonce,
+        buffer_bytes: caps.buffer_bytes,
+        max_startup_delay_ms: caps.max_startup_delay_ms,
+        ordering: Ordering::spread(),
+    });
+    try_encode(CONN_NONE, &hello).map_err(|e| e.to_string())
 }
 
 /// One real client in the swarm: a patient, Busy-honouring retry budget
@@ -773,7 +756,6 @@ fn raw_session(
 /// client's own `espread-qos` measurement — three independently
 /// maintained accounts of the same realisation, all required to agree.
 /// The returned `String` is the trio's JSONL dump.
-#[cfg(feature = "telemetry")]
 fn scoped_session(
     s: &FaultSchedule,
     ordering: Ordering,
@@ -855,30 +837,6 @@ fn scoped_session(
         }
     }
     (result, stats, v, all_to_json_lines(&recordings))
-}
-
-/// Without the telemetry feature there is nothing to cross-check and no
-/// recorder to dump.
-#[cfg(not(feature = "telemetry"))]
-fn scoped_session(
-    s: &FaultSchedule,
-    ordering: Ordering,
-    fec: FecPolicy,
-    _session_tag: u32,
-    _tag: &str,
-) -> (
-    Result<NetClientReport, NetError>,
-    ProxyStats,
-    Vec<String>,
-    String,
-) {
-    let recorders = [
-        SessionRecorder::disabled(),
-        SessionRecorder::disabled(),
-        SessionRecorder::disabled(),
-    ];
-    let (result, stats) = raw_session(s, ordering, fec, recorders);
-    (result, stats, Vec::new(), String::new())
 }
 
 #[cfg(test)]

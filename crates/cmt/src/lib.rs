@@ -38,7 +38,6 @@ pub mod ordering;
 pub mod pipeline;
 pub mod pkt_dest;
 pub mod pkt_src;
-mod telem;
 
 pub use buffer::{priority_of, BufferedFrame, PriorityBuffer};
 pub use file_segment::FileSegment;

@@ -86,7 +86,7 @@ impl Pipeline {
 
     /// Streams every cycle and collects per-cycle continuity metrics.
     pub fn run(mut self) -> WindowSeries {
-        let _span = crate::telem::span("cmt.pipeline.run_ns");
+        let _span = espread_telemetry::span("cmt.pipeline.run_ns");
         let mut series = WindowSeries::new();
         let mut cycle_index = 0u64;
         while let Some(mut buffer) = self.file_segment.next_cycle() {
@@ -96,7 +96,7 @@ impl Pipeline {
             let outcome = self
                 .pkt_src
                 .send_cycle_with(&mut buffer, now, deadline, self.strategy);
-            crate::telem::count_n("cmt.pipeline.cycles", 1);
+            espread_telemetry::count("cmt.pipeline.cycles", 1);
             series.push(outcome.metrics);
             cycle_index += 1;
         }

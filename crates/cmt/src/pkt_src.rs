@@ -121,7 +121,7 @@ impl PktSrc {
         deadline: SimTime,
         strategy: SendStrategy,
     ) -> CycleOutcome {
-        let _cycle_span = crate::telem::span("cmt.pkt_src.send_cycle_ns");
+        let _cycle_span = espread_telemetry::span("cmt.pkt_src.send_cycle_ns");
         // Order: anchors (classes 0 and 1) in playout order, then the B
         // class under the plug-in ordering.
         let anchors: Vec<_> = buffer
@@ -131,7 +131,7 @@ impl PktSrc {
             .collect();
         let bs = buffer.of_class(2);
         let frames: Vec<_> = {
-            let _span = crate::telem::span("cmt.pkt_src.permute_ns");
+            let _span = espread_telemetry::span("cmt.pkt_src.permute_ns");
             let b_order = self.ordering.permutation(bs.len());
             let ordered_bs = b_order.as_slice().iter().map(|&i| bs[i]);
             anchors.into_iter().chain(ordered_bs).collect()
@@ -200,7 +200,7 @@ impl PktSrc {
         }
 
         let pattern = {
-            let _span = crate::telem::span("cmt.pkt_dest.depermute_ns");
+            let _span = espread_telemetry::span("cmt.pkt_dest.depermute_ns");
             dest.pattern()
         };
         let dropped = attempted.iter().filter(|&&a| !a).count();
@@ -210,9 +210,9 @@ impl PktSrc {
             .filter(|(idx, f)| attempted[*idx] && dest.arrival_of(f.frame.index).is_none())
             .count();
         let _ = buffer.drain_prioritised(); // the cycle is consumed
-        crate::telem::count_n("cmt.pkt_src.frames_dropped", dropped as u64);
-        crate::telem::count_n("cmt.pkt_src.frames_network_lost", network_lost as u64);
-        crate::telem::count_n("cmt.pkt_src.resends", resends);
+        espread_telemetry::count("cmt.pkt_src.frames_dropped", dropped as u64);
+        espread_telemetry::count("cmt.pkt_src.frames_network_lost", network_lost as u64);
+        espread_telemetry::count("cmt.pkt_src.resends", resends);
 
         CycleOutcome {
             metrics: ContinuityMetrics::of(&pattern),

@@ -156,12 +156,12 @@ impl<K: Eq + Hash + Clone, V> OrderCache<K, V> {
         if let Some(hit) = self.map.read().expect("cache lock").get(&key) {
             self.stamp(hit);
             self.hits.fetch_add(1, Ordering::Relaxed);
-            crate::telem::count(self.hit_counter);
+            espread_telemetry::count(self.hit_counter, 1);
             return Arc::clone(&hit.value);
         }
         let computed = Arc::new(compute());
         self.misses.fetch_add(1, Ordering::Relaxed);
-        crate::telem::count(self.miss_counter);
+        espread_telemetry::count(self.miss_counter, 1);
         let mut map = self.map.write().expect("cache lock");
         if !map.contains_key(&key) && map.len() >= self.capacity {
             // O(n) min-scan is fine here: eviction only runs on a miss that
@@ -173,7 +173,7 @@ impl<K: Eq + Hash + Clone, V> OrderCache<K, V> {
             if let Some(victim) = victim {
                 map.remove(&victim);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
-                crate::telem::count(self.evict_counter);
+                espread_telemetry::count(self.evict_counter, 1);
             }
         }
         let entry = map.entry(key).or_insert(Entry {

@@ -140,8 +140,8 @@ pub fn stride_permutation(n: usize, s: usize) -> Permutation {
 /// assert_eq!(choice.worst_clf, 1); // Table 1: burst of 5 spread to CLF 1
 /// ```
 pub fn calculate_permutation(n: usize, b: usize) -> SpreadChoice {
-    let _span = crate::telem::span("core.calculate_permutation.ns");
-    crate::telem::count("core.calculate_permutation.calls");
+    let _span = espread_telemetry::span("core.calculate_permutation.ns");
+    espread_telemetry::count("core.calculate_permutation.calls", 1);
     if n == 0 || b == 0 || b >= n {
         let permutation = Permutation::identity(n);
         let worst_clf = worst_case_clf(&permutation, b);
@@ -346,7 +346,7 @@ pub fn k_cpo(n: usize, k: usize) -> SpreadChoice {
 /// cache, so a window pipeline holding the `Arc` does table lookups with
 /// zero per-window allocation.
 pub fn k_cpo_cached(n: usize, k: usize) -> std::sync::Arc<SpreadChoice> {
-    let _span = crate::telem::span("core.k_cpo.ns");
+    let _span = espread_telemetry::span("core.k_cpo.ns");
     let b = max_tolerable_burst(n, k).clamp(1, n.saturating_sub(1).max(1));
     crate::cache::calculate_permutation_cached(n, b)
 }

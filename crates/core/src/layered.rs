@@ -136,7 +136,7 @@ impl LayeredOrder {
         poset: &Poset,
         mut burst_bound: impl FnMut(usize, usize) -> usize,
     ) -> LayeredOrder {
-        let _span = crate::telem::span("core.layered_order.build_ns");
+        let _span = espread_telemetry::span("core.layered_order.build_ns");
         let decomposition = poset.depth_decomposition();
         let mut layers = Vec::with_capacity(decomposition.len());
         for (idx, frames) in decomposition.into_iter().enumerate() {

@@ -55,7 +55,6 @@ pub mod layered;
 pub mod module;
 pub mod permutation;
 pub mod stochastic;
-mod telem;
 
 pub use anneal::{optimize_order, OptimizedOrder};
 pub use bounds::{clf_lower_bound, theorem_one, TheoremOneBound};

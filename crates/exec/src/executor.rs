@@ -2,37 +2,9 @@
 
 use std::thread;
 
+use espread_telemetry::{with_current, Registry};
+
 use crate::seed::TrialCtx;
-
-#[cfg(feature = "telemetry")]
-mod telem {
-    pub(super) type WorkerDelta = espread_telemetry::Snapshot;
-
-    /// Runs `f` with a private registry installed as the thread-local
-    /// current registry, returning `f`'s output plus the delta recorded.
-    pub(super) fn scoped<R>(f: impl FnOnce() -> R) -> (R, WorkerDelta) {
-        let local = espread_telemetry::Registry::new();
-        let out = espread_telemetry::with_current(&local, f);
-        let snap = local.snapshot();
-        (out, snap)
-    }
-
-    /// Folds one worker's delta into the caller's current registry.
-    pub(super) fn absorb(delta: &WorkerDelta) {
-        espread_telemetry::current().absorb(delta);
-    }
-}
-
-#[cfg(not(feature = "telemetry"))]
-mod telem {
-    pub(super) type WorkerDelta = ();
-
-    pub(super) fn scoped<R>(f: impl FnOnce() -> R) -> (R, WorkerDelta) {
-        (f(), ())
-    }
-
-    pub(super) fn absorb(_delta: &WorkerDelta) {}
-}
 
 /// A deterministic parallel sweep runner.
 ///
@@ -81,9 +53,9 @@ impl Executor {
     /// receives a [`TrialCtx`] naming the cell; derive RNG streams from
     /// it rather than carrying generators across cells.
     ///
-    /// With the `telemetry` feature, each worker records into a private
-    /// registry and the deltas are folded into the caller's current
-    /// registry at join, in worker order.
+    /// Each worker records into a private telemetry registry and the
+    /// deltas are folded into the caller's current registry at join, in
+    /// worker order.
     ///
     /// # Panics
     ///
@@ -115,7 +87,10 @@ impl Executor {
                 .into_iter()
                 .map(|shard| {
                     scope.spawn(move || {
-                        telem::scoped(|| {
+                        // Each worker records into a private registry; its
+                        // snapshot is the delta folded in at join.
+                        let local = Registry::new();
+                        let results = with_current(&local, || {
                             shard
                                 .into_iter()
                                 .map(|(index, cell)| {
@@ -123,7 +98,8 @@ impl Executor {
                                     (index, f(ctx, cell))
                                 })
                                 .collect::<Vec<_>>()
-                        })
+                        });
+                        (results, local.snapshot())
                     })
                 })
                 .collect();
@@ -135,7 +111,7 @@ impl Executor {
                     Ok(out) => out,
                     Err(payload) => std::panic::resume_unwind(payload),
                 };
-                telem::absorb(&delta);
+                espread_telemetry::current().absorb(&delta);
                 for (index, value) in results {
                     slots[index] = Some(value);
                 }
@@ -209,11 +185,8 @@ mod tests {
         });
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn telemetry_merges_at_join() {
-        use espread_telemetry::{with_current, Registry};
-
         let outer = Registry::new();
         with_current(&outer, || {
             let exec = Executor::new("t.telem", 4);

@@ -20,11 +20,11 @@
 //!   independent stream from the `(experiment, cell index, seed)` key via
 //!   FNV-1a into [`espread_netsim::rng::DetRng`], so `-j1` and `-jN`
 //!   draw exactly the same deviates.
-//! * **Telemetry merges at join.** With the `telemetry` feature, each
-//!   worker records into a private registry (installed thread-locally via
-//!   `espread_telemetry::with_current`) and the executor folds the deltas
-//!   into the caller's current registry when the worker joins — in worker
-//!   order, without hot-loop contention on shared atomics.
+//! * **Telemetry merges at join.** Each worker records into a private
+//!   registry (installed thread-locally via `espread_telemetry::with_current`)
+//!   and the executor folds the deltas into the caller's current registry
+//!   when the worker joins — in worker order, without hot-loop contention
+//!   on shared atomics.
 //!
 //! ## Example
 //!
@@ -45,16 +45,16 @@
 //! assert_eq!(results, again);
 //! ```
 //!
-//! The [`json`] module renders result artifacts deterministically
-//! (insertion-ordered objects, shortest-roundtrip floats) so sweep
-//! outputs can be diffed byte-for-byte across worker counts.
+//! [`Json`] (re-exported from `espread-telemetry`) renders result
+//! artifacts deterministically (insertion-ordered objects,
+//! shortest-roundtrip floats) so sweep outputs can be diffed
+//! byte-for-byte across worker counts.
 
 mod executor;
 pub mod isolate;
-pub mod json;
 mod seed;
 
+pub use espread_telemetry::Json;
 pub use executor::Executor;
 pub use isolate::{isolate, CellFailure};
-pub use json::Json;
 pub use seed::{trial_seed, TrialCtx};

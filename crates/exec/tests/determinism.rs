@@ -63,7 +63,6 @@ fn serialized_results_identical_for_j1_and_j4() {
     }
 }
 
-#[cfg(feature = "telemetry")]
 #[test]
 fn telemetry_counters_identical_for_j1_and_j4() {
     use espread_telemetry::{with_current, Registry};

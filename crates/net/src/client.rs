@@ -793,7 +793,8 @@ mod tests {
             while let Ok((len, from)) = server.recv_from(&mut buf) {
                 if let Ok((_, Msg::Hello(h))) = wire::decode(&buf[..len]) {
                     nonces.push(h.nonce);
-                    let reply = wire::encode(CONN_NONE, &Msg::Busy { retry_after_ms: 5 });
+                    let reply =
+                        wire::try_encode(CONN_NONE, &Msg::Busy { retry_after_ms: 5 }).unwrap();
                     server.send_to(&reply, from).unwrap();
                 }
             }

@@ -78,4 +78,4 @@ pub use proxy::{FaultPolicy, FaultProxy, ProxyStats};
 pub use retry::RetryPolicy;
 pub use server::{NetServer, NetServerConfig};
 pub use wheel::{Fired, TimerWheel};
-pub use wire::{decode, encode, try_encode, try_encode_into, Msg, WireError};
+pub use wire::{decode, try_encode, try_encode_into, Msg, WireError};

@@ -502,7 +502,7 @@ mod tests {
     use espread_protocol::{Fragment, Ldu};
 
     fn data_bytes(slot: u16) -> Vec<u8> {
-        wire::encode(
+        wire::try_encode(
             1,
             &Msg::Data(DataMsg {
                 fragment: Fragment {
@@ -518,14 +518,15 @@ mod tests {
                 payload_len: 64,
             }),
         )
+        .unwrap()
     }
 
     fn control_bytes() -> Vec<u8> {
-        wire::encode(1, &Msg::Bye(ByeReason::Complete))
+        wire::try_encode(1, &Msg::Bye(ByeReason::Complete)).unwrap()
     }
 
     fn parity_bytes(group: u32) -> Vec<u8> {
-        wire::encode(
+        wire::try_encode(
             1,
             &Msg::Parity(crate::wire::ParityMsg {
                 window: 0,
@@ -540,6 +541,7 @@ mod tests {
                 }],
             }),
         )
+        .unwrap()
     }
 
     fn state(policy: FaultPolicy) -> DirState {

@@ -517,7 +517,13 @@ impl Demux {
                     buffer_bytes: hello.buffer_bytes,
                     max_startup_delay_ms: hello.max_startup_delay_ms,
                 };
-                let reply = match negotiate(self.offer.clone(), caps)
+                let reject = |reason: String| {
+                    Msg::Reject(Reject {
+                        nonce: hello.nonce,
+                        reason,
+                    })
+                };
+                let (reply_conn, reply) = match negotiate(self.offer.clone(), caps)
                     .map_err(|e| e.to_string())
                     .and_then(|agreed| accept_msg(hello.nonce, &agreed, self.source.window_count()))
                 {
@@ -527,44 +533,28 @@ impl Demux {
                     // the identical Busy back.
                     Ok(_) if self.max_sessions != 0 && live.len() >= self.max_sessions => {
                         self.telem.on_busy_rejection();
-                        wire::encode(
-                            CONN_NONE,
-                            &Msg::Busy {
-                                retry_after_ms: self.busy_retry_after_ms,
-                            },
-                        )
+                        let retry_after_ms = self.busy_retry_after_ms;
+                        (CONN_NONE, Msg::Busy { retry_after_ms })
                     }
                     Ok(accept) => match self.open_session(next_conn, live, from, &hello) {
-                        Some(conn_id) => wire::encode(conn_id, &Msg::Accept(accept)),
-                        None => wire::encode(
-                            CONN_NONE,
-                            &Msg::Reject(Reject {
-                                nonce: hello.nonce,
-                                reason: "server cannot spawn a session".into(),
-                            }),
-                        ),
+                        Some(conn_id) => (conn_id, Msg::Accept(accept)),
+                        None => (CONN_NONE, reject("server cannot spawn a session".into())),
                     },
-                    Err(reason) => {
-                        let reject = Msg::Reject(Reject {
-                            nonce: hello.nonce,
-                            reason,
-                        });
-                        match wire::try_encode(CONN_NONE, &reject) {
-                            Ok(bytes) => bytes,
-                            Err(_) => {
-                                // A reason too long for the wire: send
-                                // a short typed refusal instead of a
-                                // silently cut one.
-                                self.telem.on_encode_oversize();
-                                wire::encode(
-                                    CONN_NONE,
-                                    &Msg::Reject(Reject {
-                                        nonce: hello.nonce,
-                                        reason: "negotiation failed".into(),
-                                    }),
-                                )
-                            }
-                        }
+                    Err(reason) => (CONN_NONE, reject(reason)),
+                };
+                let reply = match wire::try_encode(reply_conn, &reply) {
+                    Ok(bytes) => bytes,
+                    Err(_) => {
+                        // A field too long for the wire: send a short
+                        // typed refusal instead of a silently cut reply.
+                        // An admitted session left without its Accept is
+                        // reclaimed by the watchdog like any ghost.
+                        self.telem.on_encode_oversize();
+                        let short = reject("negotiation failed".into());
+                        let Ok(bytes) = wire::try_encode(CONN_NONE, &short) else {
+                            return;
+                        };
+                        bytes
                     }
                 };
                 match self.socket.send_to(&reply, from) {
@@ -742,14 +732,15 @@ mod tests {
             .unwrap();
         probe.send_to(&[], server.local_addr()).unwrap();
         // A sessionless data message is ignored too.
-        let stray = wire::encode(
+        let stray = wire::try_encode(
             99,
             &Msg::WindowEnd(WindowEnd {
                 window: 0,
                 sent_at_us: 1,
                 last: false,
             }),
-        );
+        )
+        .unwrap();
         probe.send_to(&stray, server.local_addr()).unwrap();
         std::thread::sleep(Duration::from_millis(30));
         server.shutdown();
@@ -761,7 +752,7 @@ mod tests {
 
     fn hello_bytes(nonce: u64) -> Vec<u8> {
         let caps = ClientCapabilities::desktop();
-        wire::encode(
+        wire::try_encode(
             CONN_NONE,
             &Msg::Hello(wire::Hello {
                 nonce,
@@ -770,6 +761,7 @@ mod tests {
                 ordering: espread_protocol::Ordering::spread(),
             }),
         )
+        .unwrap()
     }
 
     /// Admission control: at the session cap a fresh Hello is refused

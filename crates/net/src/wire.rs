@@ -565,24 +565,6 @@ fn encode_body(conn_id: u32, msg: &Msg, out: &mut Vec<u8>) -> Result<(), WireErr
     Ok(())
 }
 
-/// Encodes `msg` for connection `conn_id` into a fresh datagram buffer.
-///
-/// Infallible convenience for messages whose sizes are known to respect
-/// the wire limits (session negotiation enforces them). Send paths that
-/// handle untrusted or computed sizes use [`try_encode`] and count
-/// refusals instead.
-///
-/// # Panics
-///
-/// Panics if a field exceeds its wire limit — the bug the limits table
-/// exists to catch. Use [`try_encode`] where that is reachable.
-pub fn encode(conn_id: u32, msg: &Msg) -> Vec<u8> {
-    match try_encode(conn_id, msg) {
-        Ok(bytes) => bytes,
-        Err(e) => panic!("wire::encode on oversize message: {e}"),
-    }
-}
-
 /// Bounds-checked big-endian reader over a datagram body.
 struct Cursor<'a> {
     buf: &'a [u8],
@@ -1126,7 +1108,7 @@ mod tests {
     #[test]
     fn roundtrip_every_message_type() {
         for msg in all_messages() {
-            let bytes = encode(42, &msg);
+            let bytes = try_encode(42, &msg).unwrap();
             let (conn, decoded) = decode(&bytes).expect("decode");
             assert_eq!(conn, 42);
             assert_eq!(decoded, msg, "type {}", msg.type_byte());
@@ -1135,7 +1117,7 @@ mod tests {
 
     #[test]
     fn data_payload_travels_as_zeroes_of_declared_length() {
-        let bytes = encode(1, &sample_data());
+        let bytes = try_encode(1, &sample_data()).unwrap();
         // Header + body fields + 904 payload bytes.
         assert_eq!(
             bytes.len(),
@@ -1154,21 +1136,21 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let mut bytes = encode(1, &Msg::Begin);
+        let mut bytes = try_encode(1, &Msg::Begin).unwrap();
         bytes[0] = 0xFF;
         assert!(matches!(decode(&bytes), Err(WireError::BadMagic(_))));
     }
 
     #[test]
     fn bad_version_rejected() {
-        let mut bytes = encode(1, &Msg::Begin);
+        let mut bytes = try_encode(1, &Msg::Begin).unwrap();
         bytes[4] = VERSION + 1;
         assert_eq!(decode(&bytes), Err(WireError::BadVersion(VERSION + 1)));
     }
 
     #[test]
     fn unknown_type_rejected() {
-        let mut bytes = encode(1, &Msg::Begin);
+        let mut bytes = try_encode(1, &Msg::Begin).unwrap();
         bytes[5] = 200;
         assert_eq!(decode(&bytes), Err(WireError::UnknownType(200)));
     }
@@ -1176,7 +1158,7 @@ mod tests {
     #[test]
     fn truncated_body_rejected() {
         for msg in all_messages() {
-            let bytes = encode(5, &msg);
+            let bytes = try_encode(5, &msg).unwrap();
             for cut in HEADER_BYTES..bytes.len() {
                 let err = decode(&bytes[..cut]).expect_err("truncation must fail");
                 assert!(
@@ -1193,7 +1175,7 @@ mod tests {
 
     #[test]
     fn overlength_payload_field_rejected() {
-        let mut bytes = encode(1, &sample_data());
+        let mut bytes = try_encode(1, &sample_data()).unwrap();
         // Inflate the declared payload length past the datagram end.
         let len_at = bytes.len() - 904 - 2;
         bytes[len_at] = 0xFF;
@@ -1203,7 +1185,7 @@ mod tests {
 
     #[test]
     fn zero_ldu_size_rejected_not_panicking() {
-        let mut bytes = encode(1, &sample_data());
+        let mut bytes = try_encode(1, &sample_data()).unwrap();
         // ldu_bytes sits just before the payload length field.
         let at = bytes.len() - 904 - 2 - 4;
         for b in &mut bytes[at..at + 4] {
@@ -1214,15 +1196,15 @@ mod tests {
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut bytes = encode(1, &Msg::Begin);
+        let mut bytes = try_encode(1, &Msg::Begin).unwrap();
         bytes.push(0);
         assert_eq!(decode(&bytes), Err(WireError::TrailingBytes(1)));
     }
 
     #[test]
     fn peek_type_classifies_and_ignores_aliens() {
-        assert_eq!(peek_type(&encode(1, &sample_data())), Some(4));
-        assert_eq!(peek_type(&encode(1, &Msg::Begin)), Some(3));
+        assert_eq!(peek_type(&try_encode(1, &sample_data()).unwrap()), Some(4));
+        assert_eq!(peek_type(&try_encode(1, &Msg::Begin).unwrap()), Some(3));
         assert_eq!(peek_type(&[0u8; 4]), None);
         assert_eq!(peek_type(b"GET / HTTP/1.1\r\n"), None);
     }
@@ -1230,7 +1212,7 @@ mod tests {
     #[test]
     fn peek_data_labels_matches_the_full_decode() {
         let msg = sample_data();
-        let bytes = encode(9, &msg);
+        let bytes = try_encode(9, &msg).unwrap();
         let labels = peek_data_labels(&bytes).unwrap();
         let Msg::Data(data) = &msg else {
             unreachable!()
@@ -1242,7 +1224,7 @@ mod tests {
         assert_eq!(labels.retransmit, data.fragment.retransmit);
         assert_eq!(peek_conn(&bytes), Some(9));
         // Control datagrams and short/alien inputs peek to None.
-        assert_eq!(peek_data_labels(&encode(9, &Msg::Begin)), None);
+        assert_eq!(peek_data_labels(&try_encode(9, &Msg::Begin).unwrap()), None);
         assert_eq!(peek_data_labels(&bytes[..20]), None);
         assert_eq!(peek_data_labels(b"alien"), None);
         assert_eq!(peek_conn(b"alien"), None);
@@ -1461,7 +1443,7 @@ mod tests {
             Msg::Parity(p) => p,
             _ => unreachable!(),
         };
-        let encode_raw = |p: &ParityMsg| encode(1, &Msg::Parity(p.clone()));
+        let encode_raw = |p: &ParityMsg| try_encode(1, &Msg::Parity(p.clone())).unwrap();
 
         let mut zero_m = valid.clone();
         zero_m.m = 0;
@@ -1514,7 +1496,7 @@ mod tests {
             shard_bytes: 0,
             ..valid
         };
-        let mut bytes = encode(1, &Msg::Parity(lean));
+        let mut bytes = try_encode(1, &Msg::Parity(lean)).unwrap();
         let count_at = bytes.len() - 6 - 1; // one 6-byte member behind the count
         bytes[count_at] = 255;
         assert!(matches!(decode(&bytes), Err(WireError::Truncated { .. })));
@@ -1569,14 +1551,6 @@ mod tests {
         ));
     }
 
-    /// The infallible wrapper panics (with the limits error) rather than
-    /// truncating — reachable only from code that skipped validation.
-    #[test]
-    #[should_panic(expected = "oversize data.frame")]
-    fn encode_panics_on_oversize_instead_of_truncating() {
-        let _ = encode(1, &data_with_frame(MAX_FRAME_INDEX + 1));
-    }
-
     /// `decode_with` + `recycle` over one scratch matches the allocating
     /// decode exactly for every message type, across repeated laps (so
     /// recycled buffers demonstrably carry no stale state).
@@ -1585,7 +1559,7 @@ mod tests {
         let mut scratch = DecodeScratch::default();
         for _ in 0..3 {
             for msg in all_messages() {
-                let bytes = encode(8, &msg);
+                let bytes = try_encode(8, &msg).unwrap();
                 let (conn, pooled) = decode_with(&bytes, &mut scratch).expect("decode_with");
                 assert_eq!((conn, &pooled), (8, &msg), "type {}", msg.type_byte());
                 assert_eq!(decode(&bytes).unwrap().1, pooled);

@@ -301,7 +301,6 @@ fn parity_repairs_coverable_bursts_with_zero_nack_rounds() {
 
 /// Telemetry end to end: a scoped registry captures socket, retry, and
 /// RTT-histogram metrics, and its Prometheus rendering parses.
-#[cfg(feature = "telemetry")]
 #[test]
 fn telemetry_counts_the_session_and_exports_prometheus() {
     use espread_telemetry::sink::to_prometheus_text;
@@ -399,7 +398,6 @@ fn finished_sessions_are_reaped_from_the_connection_table() {
 /// handshakes (hostile capabilities, so no session spawns) and assert the
 /// TTL/LRU cache evicts — then prove the server still serves a real
 /// client afterwards.
-#[cfg(feature = "telemetry")]
 #[test]
 fn handshake_nonce_flood_is_bounded_by_the_cache_cap() {
     use espread_net::wire::{self, Hello};
@@ -418,7 +416,7 @@ fn handshake_nonce_flood_is_bounded_by_the_cache_cap() {
         for nonce in 1..=FLOOD {
             // A buffer of 1 byte fails negotiation: the server answers
             // with a cached Reject and spawns nothing.
-            let hello = wire::encode(
+            let hello = wire::try_encode(
                 wire::CONN_NONE,
                 &espread_net::Msg::Hello(Hello {
                     nonce,
@@ -426,7 +424,8 @@ fn handshake_nonce_flood_is_bounded_by_the_cache_cap() {
                     max_startup_delay_ms: 1,
                     ordering: Ordering::spread(),
                 }),
-            );
+            )
+            .unwrap();
             flooder.send_to(&hello, addr).unwrap();
         }
         // Let the demux chew through the flood, then stream for real.
@@ -512,12 +511,13 @@ fn hostile_datagrams_do_not_disrupt_a_live_session() {
                 0 => vec![0u8; (i % 9) as usize],        // short header
                 1 => b"GET / HTTP/1.1\r\n\r\n".to_vec(), // alien
                 2 => {
-                    let mut m = espread_net::encode(1, &espread_net::Msg::Begin);
+                    let mut m = espread_net::try_encode(1, &espread_net::Msg::Begin).unwrap();
                     m[4] = 99; // bad version
                     m
                 }
                 _ => {
-                    let mut m = espread_net::encode(u32::MAX, &espread_net::Msg::ByeAck);
+                    let mut m =
+                        espread_net::try_encode(u32::MAX, &espread_net::Msg::ByeAck).unwrap();
                     m.truncate(m.len().saturating_sub(1));
                     m
                 }

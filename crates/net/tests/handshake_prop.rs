@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use espread_net::wire::{self, Hello};
 use espread_net::{
-    encode, Msg, NetClient, NetClientConfig, NetServer, NetServerConfig, RetryPolicy,
+    try_encode, Msg, NetClient, NetClientConfig, NetServer, NetServerConfig, RetryPolicy,
 };
 use espread_protocol::{
     negotiate, ClientCapabilities, FecPolicy, FecScope, Ordering, ProtocolConfig, SessionOffer,
@@ -140,7 +140,7 @@ proptest! {
         sock.set_read_timeout(Some(Duration::from_secs(2))).expect("timeout");
         let mut buf = [0u8; 2048];
         for &nonce in &nonces {
-            let hello = encode(
+            let hello = try_encode(
                 wire::CONN_NONE,
                 &Msg::Hello(Hello {
                     nonce,
@@ -148,7 +148,7 @@ proptest! {
                     max_startup_delay_ms: caps.max_startup_delay_ms,
                     ordering: Ordering::spread(),
                 }),
-            );
+            ).unwrap();
             let mut first: Option<Vec<u8>> = None;
             for dup in 0..dups {
                 sock.send(&hello).expect("send hello");

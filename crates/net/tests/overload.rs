@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use espread_net::wire::{self, Hello};
 use espread_net::{
-    decode, encode, Msg, NetClient, NetClientConfig, NetError, NetServer, NetServerConfig,
+    decode, try_encode, Msg, NetClient, NetClientConfig, NetError, NetServer, NetServerConfig,
     RetryPolicy,
 };
 use espread_protocol::{
@@ -47,7 +47,7 @@ fn wedge_slot(addr: SocketAddr, nonce: u64, hold: Duration) {
     sock.set_read_timeout(Some(Duration::from_secs(2)))
         .expect("timeout");
     let caps = ClientCapabilities::desktop();
-    let hello = encode(
+    let hello = try_encode(
         wire::CONN_NONE,
         &Msg::Hello(Hello {
             nonce,
@@ -55,13 +55,15 @@ fn wedge_slot(addr: SocketAddr, nonce: u64, hold: Duration) {
             max_startup_delay_ms: caps.max_startup_delay_ms,
             ordering: Ordering::spread(),
         }),
-    );
+    )
+    .unwrap();
     sock.send(&hello).expect("send hello");
     let mut buf = [0u8; 2048];
     let len = sock.recv(&mut buf).expect("accept reply");
     let (conn, msg) = decode(&buf[..len]).expect("decode accept");
     assert!(matches!(msg, Msg::Accept(_)), "wedge must be admitted");
-    sock.send(&encode(conn, &Msg::Begin)).expect("send begin");
+    sock.send(&try_encode(conn, &Msg::Begin).unwrap())
+        .expect("send begin");
     std::thread::sleep(hold);
 }
 
@@ -180,7 +182,6 @@ fn overload_wave_gets_typed_busy_and_the_server_recovers() {
 /// the sheds landed only on enhancement frames: with recovery disabled,
 /// the critical set still arrives intact on every window of every
 /// session.
-#[cfg(feature = "telemetry")]
 #[test]
 fn unsustainable_pace_sheds_enhancement_frames_but_never_critical() {
     use espread_telemetry::{with_current, Registry};

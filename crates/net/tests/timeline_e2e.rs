@@ -3,8 +3,6 @@
 //! round-trip through JSON lines, and the reconstructed timeline must
 //! explain every residual loss and reproduce the client-measured CLF.
 
-#![cfg(feature = "telemetry")]
-
 use std::time::Duration;
 
 use espread_net::{

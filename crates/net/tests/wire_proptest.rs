@@ -106,7 +106,7 @@ proptest! {
     ) {
         let text = String::from_utf8(text).expect("ascii");
         for msg in exemplars(a, b, text, list) {
-            let bytes = wire::encode(conn, &msg);
+            let bytes = wire::try_encode(conn, &msg).unwrap();
             let (got_conn, got) = wire::decode(&bytes).expect("well-formed must decode");
             prop_assert_eq!(got_conn, conn);
             prop_assert_eq!(got, msg);
@@ -130,7 +130,7 @@ proptest! {
         cut_seed in any::<usize>(),
     ) {
         for msg in exemplars(a, b, "truncate me".into(), list) {
-            let bytes = wire::encode(9, &msg);
+            let bytes = wire::try_encode(9, &msg).unwrap();
             let cut = cut_seed % bytes.len();
             let result = wire::decode(&bytes[..cut]);
             prop_assert!(result.is_err(), "cut at {cut} of {} decoded", bytes.len());
@@ -148,7 +148,7 @@ proptest! {
         xor in 1u8..=255,
     ) {
         for msg in exemplars(a, b, "mutate me".into(), list) {
-            let mut bytes = wire::encode(9, &msg);
+            let mut bytes = wire::try_encode(9, &msg).unwrap();
             let pos = pos_seed % bytes.len();
             bytes[pos] ^= xor;
             let _ = wire::decode(&bytes);
@@ -161,7 +161,7 @@ proptest! {
     fn hostile_length_fields_rejected(count in any::<u16>()) {
         // Hand-build a WindowAck header claiming `count`-many burst
         // entries with no body behind them.
-        let mut bytes = wire::encode(
+        let mut bytes = wire::try_encode(
             1,
             &Msg::WindowAck(WindowAckMsg {
                 ack_seq: 1,
@@ -169,17 +169,17 @@ proptest! {
                 echo_us: 0,
                 per_layer_burst: vec![],
             }),
-        );
+        ).unwrap();
         let len = bytes.len();
         bytes[len - 1] = count.min(255) as u8; // the u8 layer count
         if count.min(255) > 0 {
             prop_assert!(wire::decode(&bytes).is_err());
         }
         // And a CriticalNack with a u16 count field.
-        let mut bytes = wire::encode(
+        let mut bytes = wire::try_encode(
             1,
             &Msg::CriticalNack(CriticalNackMsg { window: 0, missing: vec![] }),
-        );
+        ).unwrap();
         let len = bytes.len();
         bytes[len - 2] = (count >> 8) as u8;
         bytes[len - 1] = count as u8;
@@ -289,7 +289,7 @@ proptest! {
     #[test]
     fn header_layout_stable(a in any::<u64>(), b in any::<u16>()) {
         for msg in exemplars(a, b, String::new(), vec![]) {
-            let bytes = wire::encode(3, &msg);
+            let bytes = wire::try_encode(3, &msg).unwrap();
             prop_assert!(bytes.len() >= HEADER_BYTES);
             prop_assert_eq!(&bytes[..4], &wire::MAGIC.to_be_bytes());
             prop_assert_eq!(bytes[4], wire::VERSION);

@@ -232,6 +232,39 @@ mod tests {
         rec.recording()
     }
 
+    /// The `obs_meta` and `obs` lines quoted in this module's docs are
+    /// exactly what the writer emits for the recording they describe.
+    #[test]
+    fn module_doc_lines_are_the_writer_output() {
+        let doc: String = include_str!("dump.rs")
+            .lines()
+            .filter_map(|l| l.strip_prefix("//! {\"type\":"))
+            .map(|rest| format!("{{\"type\":{rest}\n"))
+            .collect();
+        let event = |t_us, kind| ObsEvent {
+            t_us,
+            conn: 1,
+            window: 0,
+            frame: 3,
+            kind,
+            detail: 0,
+        };
+        let recording = Recording {
+            role: Role::Server,
+            session: 0,
+            shared_epoch: true,
+            capacity: 16_384,
+            dropped: 0,
+            events: vec![
+                event(12, EventKind::Sent),
+                event(98, EventKind::WindowEndSent),
+            ],
+        };
+        assert_eq!(doc.lines().count(), 3);
+        assert_eq!(to_json_lines(&recording), doc);
+        assert_eq!(parse_json_lines(&doc), Ok(vec![recording]));
+    }
+
     #[test]
     fn round_trips_exactly() {
         let original = sample();

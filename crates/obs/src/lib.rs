@@ -23,9 +23,8 @@
 //! preallocated slot — zero heap allocation on the steady-state hot path
 //! (asserted by a counting-allocator test) and bounded memory always
 //! (overflow overwrites the oldest event and increments a drop counter).
-//! When `espread-net` is built without its `telemetry` feature the
-//! recording hooks compile to nothing; this crate itself is
-//! feature-free and tiny.
+//! A transport endpoint with no recorder attached skips the hook with
+//! one branch.
 //!
 //! ```
 //! use espread_obs::{data_detail, reconstruct, trio, EventKind};

@@ -118,7 +118,7 @@ impl ClientWindow {
     /// only by FEC repair are stamped with `now` (repair happens at window
     /// close).
     pub fn finalize(mut self, now: SimTime) -> WindowOutcome {
-        let _span = crate::telem::span("protocol.client.finalize_ns");
+        let _span = espread_telemetry::span("protocol.client.finalize_ns");
         let fec_recovered = apply_fec_recovery(
             &mut self.reassembly,
             &mut self.received_keys,

@@ -13,8 +13,8 @@ use crate::feedback::{AckTracker, WindowFeedback};
 use crate::layers::WindowPlan;
 
 /// One applied adaptation step: the feedback that triggered it and how the
-/// per-layer estimates moved. Plain data, kept regardless of the
-/// `telemetry` feature so callers can observe adaptation either way.
+/// per-layer estimates moved. Plain data, so callers can observe
+/// adaptation without reading the telemetry event log.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptationRecord {
     /// The window the triggering feedback described.

@@ -123,7 +123,6 @@ impl Session {
     /// Routes this session's telemetry (phase spans, per-window ALF/CLF
     /// gauges, adaptation events) to `registry` instead of the process
     /// global — used by tests to observe one session in isolation.
-    #[cfg(feature = "telemetry")]
     pub fn with_telemetry(mut self, registry: espread_telemetry::Registry) -> Self {
         self.telem = crate::telem::SessionTelem::new(registry);
         self

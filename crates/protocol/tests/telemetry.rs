@@ -2,8 +2,6 @@
 //! records adaptation events, per-window ALF/CLF gauges, and span
 //! histograms, all observable through the in-memory sink.
 
-#![cfg(feature = "telemetry")]
-
 use espread_protocol::{ProtocolConfig, Session, StreamSource};
 use espread_telemetry::sink::{InMemorySink, Sink};
 use espread_telemetry::{Event, Registry};

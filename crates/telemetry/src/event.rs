@@ -1,5 +1,7 @@
 //! Streaming-domain telemetry events.
 
+use crate::json::Json;
+
 /// One discrete occurrence worth logging alongside the numeric metrics.
 ///
 /// Events capture the *adaptive* behaviour of the protocol — the things a
@@ -35,9 +37,10 @@ pub enum Event {
 }
 
 impl Event {
-    /// Writes the event as one JSON object (no trailing newline).
-    pub(crate) fn write_json(&self, out: &mut String) {
-        use std::fmt::Write as _;
+    /// The event as one JSON object.
+    pub(crate) fn to_json(&self) -> Json {
+        let mut obj = Json::object();
+        obj.push("type", "event");
         match self {
             Event::Adaptation {
                 window,
@@ -46,17 +49,16 @@ impl Event {
                 old_estimates,
                 new_estimates,
             } => {
-                let _ = write!(
-                    out,
-                    "{{\"type\":\"event\",\"kind\":\"adaptation\",\"window\":{window},\
-                     \"feedback_window\":{feedback_window},\"observed_bursts\":"
-                );
-                crate::json::write_usize_array(out, observed_bursts);
-                out.push_str(",\"old_estimates\":");
-                crate::json::write_f64_array(out, old_estimates);
-                out.push_str(",\"new_estimates\":");
-                crate::json::write_f64_array(out, new_estimates);
-                out.push('}');
+                let floats = |vs: &[f64]| Json::Array(vs.iter().map(|&v| Json::Float(v)).collect());
+                obj.push("kind", "adaptation")
+                    .push("window", *window)
+                    .push("feedback_window", *feedback_window)
+                    .push(
+                        "observed_bursts",
+                        Json::Array(observed_bursts.iter().map(|&b| Json::from(b)).collect()),
+                    )
+                    .push("old_estimates", floats(old_estimates))
+                    .push("new_estimates", floats(new_estimates));
             }
             Event::WindowMetrics {
                 window,
@@ -64,12 +66,13 @@ impl Event {
                 window_len,
                 clf,
             } => {
-                let _ = write!(
-                    out,
-                    "{{\"type\":\"event\",\"kind\":\"window_metrics\",\"window\":{window},\
-                     \"lost\":{lost},\"window_len\":{window_len},\"clf\":{clf}}}"
-                );
+                obj.push("kind", "window_metrics")
+                    .push("window", *window)
+                    .push("lost", *lost)
+                    .push("window_len", *window_len)
+                    .push("clf", *clf);
             }
         }
+        obj
     }
 }

@@ -18,14 +18,15 @@
 //!   several registries (or runs) together, and [`Registry::absorb`]
 //!   folds a snapshot back into a live registry.
 //! * **Thread-scoped routing.** [`with_current`] installs a thread-local
-//!   registry override that [`current`] resolves; the per-crate shims
-//!   record through [`current`], so a parallel executor can hand each
-//!   worker a private registry and merge the deltas once at join instead
-//!   of contending on shared atomics in the hot loop.
-//! * **Compile-out-able.** This crate is always cheap to build (std only);
-//!   the *instrumented* crates gate their call sites behind their own
-//!   `telemetry` cargo feature (on by default), so
-//!   `--no-default-features` builds reduce every call site to a no-op.
+//!   registry override that [`current`] resolves; [`span`], [`count`] and
+//!   the per-crate instrument handles record through [`current`], so a
+//!   parallel executor can hand each worker a private registry and merge
+//!   the deltas once at join instead of contending on shared atomics in
+//!   the hot loop.
+//! * **Always on.** The crate is std-only and every instrumented crate
+//!   depends on it unconditionally; there is no feature flag.
+//! * **One JSON writer.** [`Json`] renders both the telemetry JSON lines
+//!   and the workspace's deterministic result artifacts.
 //!
 //! ## Example
 //!
@@ -53,12 +54,14 @@
 
 mod event;
 mod hist;
-pub(crate) mod json;
+mod json;
 mod registry;
 pub mod sink;
 
 pub use event::Event;
 pub use hist::HistogramSnapshot;
+pub use json::Json;
 pub use registry::{
-    current, global, with_current, Counter, Gauge, Histogram, Registry, Snapshot, SpanGuard,
+    count, current, global, span, with_current, Counter, Gauge, Histogram, Registry, Snapshot,
+    SpanGuard,
 };

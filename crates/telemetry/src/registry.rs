@@ -345,6 +345,19 @@ pub fn current() -> Registry {
         .unwrap_or_else(|| global().clone())
 }
 
+/// Starts an RAII span recording elapsed nanoseconds into the named
+/// histogram of the [`current`] registry.
+#[inline]
+pub fn span(name: &str) -> SpanGuard {
+    current().histogram(name).start_timer()
+}
+
+/// Adds `n` to the named counter of the [`current`] registry.
+#[inline]
+pub fn count(name: &str, n: u64) {
+    current().counter(name).add(n);
+}
+
 /// A point-in-time copy of a whole registry.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Snapshot {
@@ -564,17 +577,43 @@ mod tests {
         let local = Registry::new();
         with_current(&local, || {
             current().counter("scoped").inc();
+            count("scoped.helper", 2);
             // Nested override wins over the outer one.
             let inner = Registry::new();
-            with_current(&inner, || current().counter("scoped").inc());
+            with_current(&inner, || {
+                current().counter("scoped").inc();
+                count("scoped.helper", 5);
+                drop(span("scoped.span_ns"));
+            });
             assert_eq!(inner.snapshot().counter("scoped"), Some(1));
+            assert_eq!(inner.snapshot().counter("scoped.helper"), Some(5));
+            assert_eq!(
+                inner
+                    .snapshot()
+                    .histogram("scoped.span_ns")
+                    .map(|h| h.count),
+                Some(1)
+            );
         });
-        assert_eq!(local.snapshot().counter("scoped"), Some(1));
+        let outer = local.snapshot();
+        assert_eq!(outer.counter("scoped"), Some(1));
+        assert_eq!(outer.counter("scoped.helper"), Some(2));
+        assert!(outer.histogram("scoped.span_ns").is_none());
         // Outside any override, current() is the global registry.
         assert_eq!(
             global().snapshot().counter("scoped"),
             current().snapshot().counter("scoped")
         );
+        // ...and so the helpers record there too.
+        let before = global().snapshot().counter("telemetry.test.global_helper");
+        count("telemetry.test.global_helper", 3);
+        drop(span("telemetry.test.global_span_ns"));
+        let after = global().snapshot();
+        assert_eq!(
+            after.counter("telemetry.test.global_helper"),
+            Some(before.unwrap_or(0) + 3)
+        );
+        assert!(after.histogram("telemetry.test.global_span_ns").is_some());
     }
 
     #[test]

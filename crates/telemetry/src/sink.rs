@@ -4,7 +4,7 @@ use std::error::Error;
 use std::fmt;
 use std::io::{self, Write};
 
-use crate::json;
+use crate::json::Json;
 use crate::registry::Snapshot;
 
 /// Why an export failed. Every failure mode is a typed variant — no
@@ -57,48 +57,43 @@ pub trait Sink {
 /// {"type":"event","kind":"adaptation",...}
 /// ```
 pub fn to_json_lines(snapshot: &Snapshot) -> String {
+    let metric = |kind: &str, name: &str| {
+        let mut obj = Json::object();
+        obj.push("type", kind).push("name", name);
+        obj
+    };
     let mut out = String::new();
-    use std::fmt::Write as _;
+    let mut emit = |obj: &Json| {
+        out.push_str(&obj.render());
+        out.push('\n');
+    };
     for (name, v) in &snapshot.counters {
-        out.push_str("{\"type\":\"counter\",\"name\":");
-        json::write_str(&mut out, name);
-        let _ = writeln!(out, ",\"value\":{v}}}");
+        emit(metric("counter", name).push("value", *v));
     }
     for (name, v) in &snapshot.gauges {
-        out.push_str("{\"type\":\"gauge\",\"name\":");
-        json::write_str(&mut out, name);
-        out.push_str(",\"value\":");
-        json::write_f64(&mut out, *v);
-        out.push_str("}\n");
+        emit(metric("gauge", name).push("value", *v));
     }
     for (name, h) in &snapshot.histograms {
-        out.push_str("{\"type\":\"histogram\",\"name\":");
-        json::write_str(&mut out, name);
-        let _ = write!(
-            out,
-            ",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":",
-            h.count, h.sum, h.min, h.max
+        let buckets: Vec<Json> = h
+            .buckets
+            .iter()
+            .map(|&(bound, n)| Json::Array(vec![bound.into(), n.into()]))
+            .collect();
+        emit(
+            metric("histogram", name)
+                .push("count", h.count)
+                .push("sum", h.sum)
+                .push("min", h.min)
+                .push("max", h.max)
+                .push("mean", h.mean())
+                .push("buckets", buckets),
         );
-        json::write_f64(&mut out, h.mean());
-        out.push_str(",\"buckets\":[");
-        for (i, &(bound, n)) in h.buckets.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "[{bound},{n}]");
-        }
-        out.push_str("]}\n");
     }
     for event in &snapshot.events {
-        event.write_json(&mut out);
-        out.push('\n');
+        emit(&event.to_json());
     }
     if snapshot.events_dropped > 0 {
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"counter\",\"name\":\"telemetry.events_dropped\",\"value\":{}}}",
-            snapshot.events_dropped
-        );
+        emit(metric("counter", "telemetry.events_dropped").push("value", snapshot.events_dropped));
     }
     out
 }
