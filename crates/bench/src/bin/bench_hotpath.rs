@@ -1,36 +1,34 @@
-//! Microbenchmark of the steady-state hot path, with a committed
-//! baseline.
+//! Microbenchmark of the steady-state hot path, gated in-process.
 //!
 //! ```sh
 //! cargo run --release -p espread-bench --bin bench_hotpath
-//! cargo run --release -p espread-bench --bin bench_hotpath -- --write-baseline
 //! ```
 //!
-//! Measures the four families this repo's zero-alloc work keeps fast —
-//! k-CPO apply/invert through the order cache, layered order
-//! construction, wire encode/decode through the pooled scratch, and a
-//! complete steady-state `NetWindow` reassembly lap — against a floor
-//! operation: one 1200-byte `memcpy`, i.e. pure memory traffic with no
-//! bookkeeping at all. The committed artifact `BENCH_hotpath.json` at
-//! the repo root stores each family's **ratio** to that floor, which is
-//! what CI gates on (`scripts/check_bench_hotpath.sh`, >20% regression
-//! on any family fails): absolute nanoseconds vary with the host, the
-//! ratios track only how much work each path layers on top of moving
-//! its bytes.
+//! Measures five families against a floor operation each. Four are the
+//! paths this repo's zero-alloc work keeps fast — k-CPO apply/invert
+//! through the order cache, layered order construction, wire
+//! encode/decode through the pooled scratch, and a complete steady-state
+//! `NetWindow` reassembly lap — timed against one 1200-byte `memcpy`,
+//! i.e. pure memory traffic with no bookkeeping at all. The fifth,
+//! `obs_record`, is `FlightRecorder::record()` in its steady
+//! (overwriting) regime, timed against the work `record()` cannot avoid:
+//! one uncontended mutex lock, one monotonic clock read and one store.
 //!
-//! `--write-baseline` rewrites `BENCH_hotpath.json`; the default mode
-//! writes the fresh measurement to `results/bench_hotpath.json`. Both
-//! files carry timings and sit outside the byte-identical results
-//! contract. The interactive criterion view of the same families is
-//! `cargo bench -p espread-bench --bench hotpath`.
+//! Each family's **ratio** to its floor is checked against the
+//! `hotpath.<family>.ratio` rows of [`espread_bench::gate::GATES`]; the
+//! binary exits non-zero when any family regresses more than 20% past
+//! its pin. Absolute nanoseconds vary with the host, the ratios track
+//! only how much work each path layers on top of its floor.
 
 use std::process::ExitCode;
+use std::sync::Mutex;
 use std::time::Instant;
 
+use espread_bench::gate;
 use espread_core::{calculate_permutation_cached, LayeredOrder};
-use espread_exec::Json;
 use espread_net::clientwin::{NetWindow, NetWindowOutcome, RecoverScratch};
 use espread_net::wire::{self, DataMsg, DecodeScratch, Msg, ParityMember, ParityMsg};
+use espread_obs::{data_detail, EventKind, FlightRecorder, Role, DEFAULT_CAPACITY};
 use espread_protocol::{Fragment, Ldu};
 use espread_trace::GopPattern;
 
@@ -68,7 +66,7 @@ fn data_fragment(window: u64, frame: usize, frag: u16) -> DataMsg {
 }
 
 fn main() -> ExitCode {
-    println!("bench_hotpath: steady-state families vs a 1200-byte memcpy floor\n");
+    println!("bench_hotpath: steady-state families vs their floors\n");
 
     // Floor: pure memory traffic, the work no hot-path op can avoid.
     let src = vec![0xA5u8; 1200];
@@ -150,48 +148,51 @@ fn main() -> ExitCode {
         win.reset(window, 4, &[2, 2], &[0, 1]);
     });
 
+    // Family 5: the flight recorder's record(), warmed past capacity so
+    // every measured call is in the steady (overwriting) regime the
+    // recorder runs in for long sessions.
+    let recorder = FlightRecorder::new(Role::Server, DEFAULT_CAPACITY);
+    for i in 0..(DEFAULT_CAPACITY as u32 + 1) {
+        recorder.record(EventKind::Sent, 1, 0, i, 0);
+    }
+    let record_ns = measure(|i| {
+        recorder.record(
+            EventKind::Sent,
+            1,
+            u64::from(i >> 6),
+            i,
+            data_detail(0, false),
+        );
+    });
+    assert!(
+        recorder.dropped() > u64::from(ITERS) * TRIALS as u64 / 2,
+        "measurement must have run in the overwriting regime"
+    );
+    // Its floor: uncontended lock + clock read + store.
+    let epoch = Instant::now();
+    let slot = Mutex::new(0u64);
+    let lock_floor_ns = measure(|_| {
+        let mut slot = slot.lock().unwrap_or_else(|e| e.into_inner());
+        *slot = epoch.elapsed().as_micros() as u64;
+    });
+    std::hint::black_box(&slot);
+
+    println!("  memcpy floor   {floor_ns:.1} ns/op (1200-byte memcpy)");
+    println!("  lock floor     {lock_floor_ns:.1} ns/op (uncontended lock + clock read + store)");
     let families = [
-        ("kcpo_apply", kcpo_ns),
-        ("layered_build", layered_ns),
-        ("wire_codec", wire_ns),
-        ("reassembly", netwin_ns),
+        ("hotpath.kcpo_apply.ratio", kcpo_ns, floor_ns),
+        ("hotpath.layered_build.ratio", layered_ns, floor_ns),
+        ("hotpath.wire_codec.ratio", wire_ns, floor_ns),
+        ("hotpath.reassembly.ratio", netwin_ns, floor_ns),
+        ("hotpath.obs_record.ratio", record_ns, lock_floor_ns),
     ];
-    println!("  floor:          {floor_ns:.1} ns/op (1200-byte memcpy)");
-    for (name, ns) in families {
-        println!("  {name:<14} {ns:.1} ns/op  ratio {:.3}", ns / floor_ns);
+    for (metric, ns, _) in families {
+        println!("  {metric:<28} {ns:.1} ns/op");
     }
-
-    let mut doc = Json::object();
-    doc.push("experiment", "bench_hotpath")
-        .push("iters", u64::from(ITERS))
-        .push("trials", TRIALS)
-        .push("floor_ns", floor_ns);
-    let mut fam = Json::object();
-    for (name, ns) in families {
-        let mut entry = Json::object();
-        entry.push("ns", ns).push("ratio", ns / floor_ns);
-        fam.push(name, entry);
-    }
-    doc.push("families", fam);
-
-    if std::env::args().any(|a| a == "--write-baseline") {
-        match std::fs::write("BENCH_hotpath.json", doc.render_pretty()) {
-            Ok(()) => println!("baseline written to BENCH_hotpath.json"),
-            Err(e) => {
-                eprintln!("could not write BENCH_hotpath.json: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    println!();
+    if gate::check(&families.map(|(metric, ns, floor)| (metric, ns / floor))) {
+        ExitCode::SUCCESS
     } else {
-        let result = std::fs::create_dir_all("results")
-            .and_then(|()| std::fs::write("results/bench_hotpath.json", doc.render_pretty()));
-        match result {
-            Ok(()) => println!("measurement written to results/bench_hotpath.json"),
-            Err(e) => {
-                eprintln!("could not write results/bench_hotpath.json: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        ExitCode::FAILURE
     }
-    ExitCode::SUCCESS
 }

@@ -4,28 +4,30 @@
 //! cargo run --release -p espread-bench --bin net_c10k -- [--sessions N]
 //! ```
 //!
-//! Streams `--sessions` (default 500) short Jurassic Park sessions
-//! **concurrently** through one server on a fixed worker pool. Every
-//! client rides its own fault-injecting proxy with a per-session
+//! Streams `--sessions` (default [`GATED_SESSIONS`]) short Jurassic Park
+//! sessions **concurrently** through one server on a fixed worker pool.
+//! Every client rides its own fault-injecting proxy with a per-session
 //! Gilbert–Elliott seed, so the server demultiplexes hundreds of lossy
 //! flows at once — exactly the regime the old thread-per-session core
 //! could not enter without a thread per flow. A barrier releases every
 //! client in the same instant; a sampler tracks the peak of the server's
 //! live-session gauge while the wave is in flight.
 //!
-//! The artifact `results/net_c10k.json` carries the gate metric
+//! The artifact `results/net_c10k.json` carries the wave's rate
 //! (`sessions_per_sec`, wave size over wall-clock) plus window-RTT
-//! percentiles from the server's `net.server.rtt_us` histogram; CI
-//! compares it against the committed `BENCH_net.json` via
-//! `scripts/check_bench_net.sh`. Timing-derived numbers are inherently
-//! host-dependent, so this artifact is **not** part of the determinism
-//! surface.
+//! percentiles from the server's `net.server.rtt_us` histogram. At the
+//! default wave the rate is checked against the `net_c10k.sessions_per_s`
+//! row of [`espread_bench::gate::GATES`] and the binary exits non-zero on
+//! a regression; any other wave size prints its rate as ungated.
+//! Timing-derived numbers are inherently host-dependent, so this
+//! artifact is **not** part of the determinism surface.
 
+use std::process::ExitCode;
 use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use espread_bench::sweep;
+use espread_bench::{gate, sweep};
 use espread_exec::Json;
 use espread_net::{
     FaultPolicy, FaultProxy, NetClient, NetClientConfig, NetServer, NetServerConfig,
@@ -41,6 +43,8 @@ const GOPS_PER_WINDOW: usize = 1;
 const WORKERS: usize = 4;
 const P_BAD: f64 = 0.6;
 const SEED_BASE: u64 = 0xC10C;
+/// The default wave, and the only size the gate's pin applies to.
+const GATED_SESSIONS: usize = 200;
 
 fn sessions_from_args() -> usize {
     let args: Vec<String> = std::env::args().collect();
@@ -51,7 +55,7 @@ fn sessions_from_args() -> usize {
                 .and_then(|v| v.parse().ok())
                 .expect("--sessions takes a session count")
         })
-        .unwrap_or(500)
+        .unwrap_or(GATED_SESSIONS)
 }
 
 /// What one client thread brings home. Never panics: a panic inside
@@ -113,7 +117,7 @@ fn run_client(server: std::net::SocketAddr, seed: u64, release: &Barrier) -> Out
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
     // Accepted for script uniformity; concurrency is --sessions itself.
     let _ = sweep::jobs_from_args();
     let sessions = sessions_from_args();
@@ -261,4 +265,17 @@ fn main() {
         .push("rtt_us_max", rtt_max);
     sweep::write_results("net_c10k", &doc);
     espread_bench::write_telemetry_snapshot("net_c10k");
+
+    println!();
+    if sessions != GATED_SESSIONS {
+        println!(
+            "gate net_c10k.sessions_per_s: fresh {rate:.3} at a {sessions}-session wave, \
+             ungated (pinned at {GATED_SESSIONS})"
+        );
+        ExitCode::SUCCESS
+    } else if gate::check(&[("net_c10k.sessions_per_s", rate)]) {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

@@ -2,7 +2,7 @@
 //! twice its admission cap.
 //!
 //! ```sh
-//! cargo run --release -p espread-bench --bin net_overload -- [--wave N]
+//! cargo run --release -p espread-bench --bin net_overload
 //! ```
 //!
 //! The server admits at most [`CAP`] concurrent sessions and refuses the
@@ -14,22 +14,25 @@
 //! never shed — the bench recomputes the negotiated critical set
 //! client-side and **fails** if any completed session lost one.
 //!
-//! The artifact `results/net_overload.json` carries the gate metric
-//! (`sessions_per_sec`: wave size over wall-clock, Busy waits included)
-//! plus the overload counters (Busy refusals, sheds, reap totals) and
-//! window-RTT percentiles. CI compares the throughput against the
-//! committed `BENCH_overload.json` via `scripts/check_bench_overload.sh`
-//! and greps this binary's stdout for the two hard invariants:
-//! `critical frames lost        0` and `sessions leaked           0`.
-//! Timing-derived numbers are host-dependent, so the artifact is not
-//! part of the determinism surface.
+//! The binary asserts the overload invariants itself: every admitted
+//! session completes and is reaped, live sessions never exceed the cap,
+//! zero critical frames are lost, and both the shedder and the `Busy`
+//! refusals engage. The artifact `results/net_overload.json` carries the
+//! wave's rate (`sessions_per_sec`: wave size over wall-clock, Busy
+//! waits included) plus the overload counters (Busy refusals, sheds,
+//! reap totals) and window-RTT percentiles. The rate is checked against
+//! the `net_overload.sessions_per_s` row of
+//! [`espread_bench::gate::GATES`] and the binary exits non-zero on a
+//! regression. Timing-derived numbers are host-dependent, so the
+//! artifact is not part of the determinism surface.
 
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use espread_bench::sweep;
+use espread_bench::{gate, sweep};
 use espread_exec::Json;
 use espread_net::{NetClient, NetClientConfig, NetError, NetServer, NetServerConfig, RetryPolicy};
 use espread_protocol::{
@@ -37,8 +40,10 @@ use espread_protocol::{
 };
 use espread_trace::{GopPattern, Movie, MpegTrace};
 
-/// The admission cap under test; the wave is twice this.
+/// The admission cap under test.
 const CAP: usize = 50;
+/// The wave: twice the cap.
+const WAVE: usize = 2 * CAP;
 /// Short streams keep the bench about admission churn, not bytes.
 const WINDOWS: usize = 3;
 /// Two GOPs per window puts each window well past one 64-datagram pump
@@ -58,18 +63,6 @@ const PACE: Duration = Duration::from_micros(2);
 const SHED_LAG: Duration = Duration::from_micros(900);
 /// The server's own honest estimate of when capacity frees up.
 const BUSY_RETRY_AFTER: Duration = Duration::from_millis(150);
-
-fn wave_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--wave")
-        .map(|i| {
-            args.get(i + 1)
-                .and_then(|v| v.parse().ok())
-                .expect("--wave takes a client count")
-        })
-        .unwrap_or(2 * CAP)
-}
 
 /// What one wave client brings home. Failures travel as data: a panic
 /// inside `thread::scope` would strand the gauge sampler.
@@ -131,11 +124,9 @@ fn overload_counters() -> (u64, u64, u64, u64, u64) {
     )
 }
 
-fn main() {
+fn main() -> ExitCode {
     // Accepted for script uniformity; concurrency is the wave itself.
     let _ = sweep::jobs_from_args();
-    let wave = wave_from_args();
-    assert!(wave > 0, "--wave must be positive");
 
     let trace = MpegTrace::new(Movie::JurassicPark, 1);
     let offer = SessionOffer {
@@ -158,7 +149,7 @@ fn main() {
         StreamSource::mpeg(&trace, GOPS_PER_WINDOW, WINDOWS, false),
     );
     config.workers = WORKERS;
-    config.handshake_cap = wave.max(256);
+    config.handshake_cap = WAVE.max(256);
     config.pace = PACE;
     config.max_sessions = CAP;
     config.busy_retry_after = BUSY_RETRY_AFTER;
@@ -168,20 +159,20 @@ fn main() {
     let server_addr = server.local_addr();
 
     println!(
-        "net_overload: a {wave}-client wave against an admission cap of {CAP} \
+        "net_overload: a {WAVE}-client wave against an admission cap of {CAP} \
          ({WINDOWS} windows x {GOPS_PER_WINDOW} GOP each, {WORKERS} worker, \
          pace {}us, shed lag {}us)\n",
         PACE.as_micros(),
         SHED_LAG.as_micros()
     );
 
-    let release = Arc::new(Barrier::new(wave + 1));
+    let release = Arc::new(Barrier::new(WAVE + 1));
     let done = AtomicBool::new(false);
     let server_ref = &server;
     let critical_ref = critical.as_slice();
     let (outcomes, elapsed, peak_live) = thread::scope(|scope| {
-        let mut joins = Vec::with_capacity(wave);
-        for i in 0..wave {
+        let mut joins = Vec::with_capacity(WAVE);
+        for i in 0..WAVE {
             let release = Arc::clone(&release);
             joins.push(
                 thread::Builder::new()
@@ -204,7 +195,7 @@ fn main() {
             }
             peak
         });
-        let mut outcomes = Vec::with_capacity(wave);
+        let mut outcomes = Vec::with_capacity(WAVE);
         for join in joins {
             outcomes.push(join.join());
         }
@@ -243,7 +234,7 @@ fn main() {
     for failure in failures.iter().take(5) {
         eprintln!("session failure: {failure}");
     }
-    let admitted = wave - rejected;
+    let admitted = WAVE - rejected;
     let (busy_rejections, shed_enhancement, shed_stale_retx, watchdog_terminations, reaped) =
         overload_counters();
 
@@ -266,15 +257,19 @@ fn main() {
         busy_rejections > 0,
         "a wave of twice the cap must draw Busy refusals"
     );
+    assert_eq!(
+        reaped, admitted as u64,
+        "every admitted session must be reaped"
+    );
 
-    let rate = wave as f64 / elapsed.as_secs_f64();
+    let rate = WAVE as f64 / elapsed.as_secs_f64();
     let (rtt_samples, rtt_p50, rtt_p99, rtt_max) = espread_bench::rtt_summary();
     println!(
         "{:<28}{:>10}\n{:<28}{:>10}\n{:<28}{:>10}\n{:<28}{:>10}\n{:<28}{:>10}\n\
          {:<28}{:>10}\n{:<28}{:>10}\n{:<28}{:>10}\n{:<28}{:>10}\n{:<28}{:>10}\n\
          {:<28}{:>10.3}\n{:<28}{:>10.1}\n{:<28}{:>10}\n{:<28}{:>10}",
         "wave size",
-        wave,
+        WAVE,
         "admitted",
         admitted,
         "completed",
@@ -306,7 +301,7 @@ fn main() {
     let mut doc = Json::object();
     doc.push("experiment", "net_overload")
         .push("cap", CAP)
-        .push("wave", wave)
+        .push("wave", WAVE)
         .push("windows_per_session", WINDOWS)
         .push("workers", WORKERS)
         .push("admitted", admitted)
@@ -327,4 +322,11 @@ fn main() {
         .push("rtt_us_max", rtt_max);
     sweep::write_results("net_overload", &doc);
     espread_bench::write_telemetry_snapshot("net_overload");
+
+    println!();
+    if gate::check(&[("net_overload.sessions_per_s", rate)]) {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

@@ -4,12 +4,14 @@
 //! Each binary in `src/bin/` reproduces one artifact of the evaluation
 //! (see `DESIGN.md` §4 for the index); this library holds the common
 //! machinery: comparison runs over matched channel realisations, simple
-//! aligned-table printing, and ASCII series plots for the figure-style
-//! outputs.
+//! aligned-table printing, ASCII series plots for the figure-style
+//! outputs, and the performance gate ([`gate`]) the timing benches check
+//! themselves against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod gate;
 pub mod report;
 pub mod sweep;
 

@@ -43,18 +43,18 @@ proptest! {
         // Erase up to m data shards per the mask.
         let mut present = vec![true; k];
         let mut erased = 0usize;
-        for j in 0..k {
+        for (j, slot) in present.iter_mut().enumerate() {
             if erased < m && erase_mask & (1 << j) != 0 {
-                present[j] = false;
+                *slot = false;
                 erased += 1;
             }
         }
         // Drop parities per the mask, but keep at least `erased` alive.
         let mut par_present = vec![true; m];
         let mut alive = m;
-        for i in 0..m {
+        for (i, slot) in par_present.iter_mut().enumerate() {
             if alive > erased && parity_mask & (1 << i) != 0 {
-                par_present[i] = false;
+                *slot = false;
                 alive -= 1;
             }
         }
@@ -99,8 +99,8 @@ proptest! {
             .recover_into(len, &mut damaged, &present, &parity, &vec![true; m], &mut scratch)
             .unwrap_err();
         prop_assert_eq!(err, FecError::TooManyErasures { erased: m + 1, parities: m });
-        for j in 0..=m {
-            prop_assert!(damaged[j].is_empty());
+        for shard in &damaged[..=m] {
+            prop_assert!(shard.is_empty());
         }
     }
 

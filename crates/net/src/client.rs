@@ -391,32 +391,12 @@ impl NetClient {
                 let frag = data.fragment.frag;
                 let retx = data.fragment.retransmit;
                 let obs = &self.config.recorder;
-                match &st.current {
-                    Some(cur) if w == cur.window() => {}
-                    Some(cur) if w > cur.window() => {
-                        // The WindowEnd was lost but the stream moved on:
-                        // close the old window implicitly (echo 0 = no
-                        // RTT sample).
-                        let cur = st.current.take().expect("matched Some");
-                        self.finalize(st, cur, 0);
-                        st.open(w);
-                    }
-                    Some(_) => {
-                        // Stale retransmission: decodable, but the window
-                        // has moved on.
-                        obs.ignored(self.conn_id, w, frame, frag, retx);
-                        return;
-                    }
-                    None => {
-                        if st.acked.contains_key(&w) {
-                            // Duplicate after finalize.
-                            obs.ignored(self.conn_id, w, frame, frag, retx);
-                            return;
-                        }
-                        st.open(w);
-                    }
-                }
-                let cur = st.current.as_mut().expect("opened above");
+                let Some(mut cur) = self.take_window(st, w) else {
+                    // Stale retransmission or duplicate after finalize:
+                    // decodable, but the window has moved on.
+                    obs.ignored(self.conn_id, w, frame, frag, retx);
+                    return;
+                };
                 let was_complete = cur.is_complete(data.fragment.frame);
                 if cur.accept(data) {
                     obs.delivered(self.conn_id, w, frame, frag, retx);
@@ -427,32 +407,20 @@ impl NetClient {
                     self.telem.on_bad_fragment();
                     obs.bad_fragment(self.conn_id, w, frame, frag);
                 }
+                st.current = Some(cur);
             }
             Msg::Parity(parity) => {
                 st.parity_rx += 1;
                 // Parity rides the same window-advance logic as data: a
                 // group for a newer window implicitly closes the current
                 // one.
-                let w = parity.window;
-                match &st.current {
-                    Some(cur) if w == cur.window() => {}
-                    Some(cur) if w > cur.window() => {
-                        let cur = st.current.take().expect("matched Some");
-                        self.finalize(st, cur, 0);
-                        st.open(w);
-                    }
-                    Some(_) => return, // stale
-                    None => {
-                        if st.acked.contains_key(&w) {
-                            return; // duplicate after finalize
-                        }
-                        st.open(w);
-                    }
-                }
-                let cur = st.current.as_mut().expect("opened above");
+                let Some(mut cur) = self.take_window(st, parity.window) else {
+                    return;
+                };
                 if !cur.accept_parity(parity) {
                     self.telem.on_bad_fragment();
                 }
+                st.current = Some(cur);
             }
             Msg::WindowEnd(end) => {
                 if let Some(bursts) = st.acked.get(&end.window).cloned() {
@@ -461,33 +429,20 @@ impl NetClient {
                     self.ack(st, end.window, end.sent_at_us, bursts);
                     return;
                 }
-                match &st.current {
-                    Some(cur) if end.window < cur.window() => return, // stale
-                    Some(cur) if end.window > cur.window() => {
-                        let cur = st.current.take().expect("matched Some");
-                        self.finalize(st, cur, 0);
-                        st.open(end.window);
-                    }
-                    Some(_) => {}
-                    None => st.open(end.window),
-                }
+                let Some(mut cur) = self.take_window(st, end.window) else {
+                    return; // stale
+                };
                 // Erasure recovery repairs what parity can cover BEFORE
                 // the NACK decision, so covered losses cost zero
                 // retransmission rounds.
-                if let Some(mut cur) = st.current.take() {
-                    self.run_recovery(st, &mut cur);
-                    st.current = Some(cur);
-                }
+                self.run_recovery(st, &mut cur);
                 let nack_rounds = match st.nacked {
                     Some((w, rounds)) if w == end.window => rounds,
                     _ => 0,
                 };
                 if self.config.recovery && nack_rounds < self.config.retry.max_attempts {
                     let mut missing = std::mem::take(&mut st.nack_buf);
-                    st.current
-                        .as_ref()
-                        .expect("opened above")
-                        .missing_critical_into(&mut missing);
+                    cur.missing_critical_into(&mut missing);
                     if !missing.is_empty() {
                         st.nacked = Some((end.window, nack_rounds + 1));
                         st.nacks_sent += 1;
@@ -517,11 +472,11 @@ impl NetClient {
                         }
                         // Wait for the recovery round; the server re-sends
                         // WindowEnd after retransmitting.
+                        st.current = Some(cur);
                         return;
                     }
                     st.nack_buf = missing;
                 }
-                let cur = st.current.take().expect("checked above");
                 self.finalize(st, cur, end.sent_at_us);
             }
             Msg::Bye(_) => {
@@ -543,6 +498,28 @@ impl NetClient {
             // Handshake duplicates and client-side message types echoed
             // back are not ours to act on.
             _ => {}
+        }
+    }
+
+    /// Advances the stream to window `w` and takes its tracker out of
+    /// `st.current`; the caller puts it back while the window stays open.
+    /// A newer window implicitly finalizes the open one (its `WindowEnd`
+    /// was lost but the stream moved on; echo 0 = no RTT sample). `None`
+    /// for a stale window or a duplicate after finalize, leaving `st`
+    /// untouched.
+    fn take_window(&self, st: &mut StreamState, w: u64) -> Option<NetWindow> {
+        match st.current.take() {
+            Some(cur) if w == cur.window() => Some(cur),
+            Some(cur) if w > cur.window() => {
+                self.finalize(st, cur, 0);
+                Some(st.open(w))
+            }
+            stale @ Some(_) => {
+                st.current = stale;
+                None
+            }
+            None if st.acked.contains_key(&w) => None,
+            None => Some(st.open(w)),
         }
     }
 
@@ -728,8 +705,9 @@ impl StreamState {
         }
     }
 
-    fn open(&mut self, window: u64) {
-        let win = match self.spare.take() {
+    /// A tracker for `window`, recycled from `spare` when one is retired.
+    fn open(&mut self, window: u64) -> NetWindow {
+        match self.spare.take() {
             Some(mut w) => {
                 w.reset(
                     window,
@@ -745,8 +723,7 @@ impl StreamState {
                 &self.layer_sizes,
                 &self.critical_frames,
             ),
-        };
-        self.current = Some(win);
+        }
     }
 }
 

@@ -951,14 +951,9 @@ mod tests {
         fn drain(&self) -> Vec<Msg> {
             let mut buf = vec![0u8; 65_536];
             let mut out = Vec::new();
-            loop {
-                match self.peer.recv(&mut buf) {
-                    Ok(len) => {
-                        if let Ok((_, msg)) = wire::decode(&buf[..len]) {
-                            out.push(msg);
-                        }
-                    }
-                    Err(_) => break,
+            while let Ok(len) = self.peer.recv(&mut buf) {
+                if let Ok((_, msg)) = wire::decode(&buf[..len]) {
+                    out.push(msg);
                 }
             }
             out

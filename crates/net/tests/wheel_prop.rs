@@ -73,7 +73,7 @@ proptest! {
         // Extra huge steps drain the tail: each fire can re-arm, so the
         // deepest schedule needs one more sweep per remaining attempt.
         let max_attempts = sessions.iter().map(|s| s.0).max().unwrap_or(0);
-        pending_steps.extend(std::iter::repeat(10_000).take(max_attempts as usize + 1));
+        pending_steps.extend(std::iter::repeat_n(10_000, max_attempts as usize + 1));
         for step in pending_steps {
             now += ms(step);
             let fired = wheel.advance(now);

@@ -82,25 +82,21 @@ else
   run_bench fec_frontier fec_frontier fec_frontier
 fi
 if [[ $QUICK -eq 0 ]]; then
-  # Timing-derived artifact (sessions/sec, RTT percentiles) — excluded
-  # from the --quick determinism subset on purpose. The reduced wave
-  # matches the CI net-c10k job; the committed BENCH_net.json floor gates
-  # it.
-  run_bench net_c10k net_c10k net_c10k --sessions 200
-  scripts/check_bench_net.sh || fail "net_c10k regressed past BENCH_net.json"
-  # Overload wave: 2x the admission cap. Also timing-derived; its hard
-  # invariants (cap respected, zero critical shed, all reaped) and the
-  # committed BENCH_overload.json floor are both enforced by the gate.
+  # Timing-derived artifacts (sessions/sec, RTT percentiles, hot-path
+  # ratios) — excluded from the --quick determinism subset on purpose.
+  # Each of these binaries checks its fresh numbers against the pinned
+  # gate table (crates/bench/src/gate.rs) and exits non-zero on a
+  # regression. net_c10k's default wave matches the CI net-c10k job.
+  run_bench net_c10k net_c10k net_c10k
+  # Overload wave: 2x the admission cap; also asserts its hard
+  # invariants (cap respected, zero critical shed, all reaped).
   run_bench net_overload net_overload net_overload
-  scripts/check_bench_overload.sh || fail "net_overload regressed past BENCH_overload.json"
-  # Hot-path microbench: pure CPU, timing-derived (excluded from the
-  # determinism surface — no telemetry snapshot, so it bypasses
-  # run_bench). The committed BENCH_hotpath.json family ratios gate it.
+  # Hot-path microbench: pure CPU, no telemetry snapshot, so it
+  # bypasses run_bench.
   echo "=== bench_hotpath ==="
   cargo run --quiet --release -p espread-bench --bin bench_hotpath \
     | tee results/bench_hotpath.txt \
     || fail "bench_hotpath exited non-zero"
-  scripts/check_bench_hotpath.sh || fail "hot path regressed past BENCH_hotpath.json"
   # The chaos_soak binary also writes the overload regime's separate
   # deterministic report.
   [[ -s results/chaos_overload.json ]] \
