@@ -138,6 +138,11 @@ pub struct NetClientReport {
     /// `net.client.send_errors`). Nonzero means some ACKs/NACKs never
     /// left the host — the server saw them as loss.
     pub send_errors: u64,
+    /// Decoded datagrams dropped because they carried another
+    /// connection's id (also counted in `net.client.foreign_conn`) — for
+    /// example a `Bye` the server retried at a port this client now
+    /// reuses.
+    pub foreign_conn: u64,
 }
 
 /// A connected (negotiated) client, ready to stream.
@@ -291,6 +296,9 @@ impl NetClient {
                     st.bytes_rx += len as u64;
                     st.datagrams_rx += 1;
                     match wire::decode_with(&buf[..len], &mut st.decode_scratch) {
+                        Ok((conn_id, msg)) if conn_id != self.conn_id => {
+                            self.drop_foreign(&mut st, msg)
+                        }
                         // Duplicate handshake reply: nothing to do.
                         Ok((_, msg @ Msg::Accept(_))) => st.decode_scratch.recycle(msg),
                         Ok((_, msg)) => {
@@ -327,6 +335,9 @@ impl NetClient {
                 st.bytes_rx += len as u64;
                 st.datagrams_rx += 1;
                 match wire::decode_with(&buf[..len], &mut st.decode_scratch) {
+                    Ok((conn_id, msg)) if conn_id != self.conn_id => {
+                        self.drop_foreign(&mut st, msg)
+                    }
                     Ok((_, msg)) => {
                         self.process(&mut st, &msg);
                         st.decode_scratch.recycle(msg);
@@ -356,7 +367,16 @@ impl NetClient {
             fec_recovered: st.fec_recovered,
             fec_unrecoverable: st.fec_unrecoverable,
             send_errors: st.send_errors,
+            foreign_conn: st.foreign_conn,
         })
+    }
+
+    /// Drops a decoded datagram addressed to another connection: acting
+    /// on it (a stray `Bye` above all) could end this healthy session.
+    fn drop_foreign(&self, st: &mut StreamState, msg: Msg) {
+        st.foreign_conn += 1;
+        self.telem.on_foreign_conn();
+        st.decode_scratch.recycle(msg);
     }
 
     /// One timed receive; `None` on timeout. The deadline is enforced in
@@ -665,6 +685,7 @@ struct StreamState {
     fec_recovered: u64,
     fec_unrecoverable: u64,
     send_errors: u64,
+    foreign_conn: u64,
     series: WindowSeries,
     patterns: Vec<LossPattern>,
     completed_at: Option<Instant>,
@@ -697,6 +718,7 @@ impl StreamState {
             fec_recovered: 0,
             fec_unrecoverable: 0,
             send_errors: 0,
+            foreign_conn: 0,
             series: WindowSeries::new(),
             patterns: Vec::new(),
             completed_at: None,

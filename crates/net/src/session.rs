@@ -157,7 +157,7 @@ pub(crate) struct SessionCore {
     /// watchdog gen can never collide on the wheel.
     gen_seq: u64,
     window: usize,
-    plan: Option<WindowPlan>,
+    plan: Option<Arc<WindowPlan>>,
     cursor: SendCursor,
     next_send_at: Instant,
     fec: Option<FecState>,
@@ -1069,7 +1069,6 @@ mod tests {
             .as_ref()
             .expect("window planned")
             .critical_frames()
-            .into_iter()
             .collect();
         assert!(!critical.is_empty());
         let parities: Vec<&ParityMsg> = msgs
@@ -1159,14 +1158,8 @@ mod tests {
             "a shedding session still closes its window"
         );
         let msgs = h.drain();
-        let critical: std::collections::HashSet<usize> = h
-            .core
-            .plan
-            .as_ref()
-            .unwrap()
-            .critical_frames()
-            .into_iter()
-            .collect();
+        let critical: std::collections::HashSet<usize> =
+            h.core.plan.as_ref().unwrap().critical_frames().collect();
         let sent: std::collections::HashSet<usize> = msgs
             .iter()
             .filter_map(|m| match m {

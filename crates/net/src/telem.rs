@@ -170,6 +170,7 @@ pub(crate) struct ClientTelem {
     windows: Counter,
     bad_fragments: Counter,
     decode_errors: Counter,
+    foreign_conn: Counter,
     encode_oversize: Counter,
     fec_recovered: Counter,
     fec_unrecoverable: Counter,
@@ -187,6 +188,7 @@ impl ClientTelem {
             windows: r.counter("net.client.windows"),
             bad_fragments: r.counter("net.client.bad_fragments"),
             decode_errors: r.counter("net.client.decode_errors"),
+            foreign_conn: r.counter("net.client.foreign_conn"),
             encode_oversize: r.counter("net.wire.encode_oversize"),
             fec_recovered: r.counter("net.fec.recovered"),
             fec_unrecoverable: r.counter("net.fec.unrecoverable"),
@@ -231,6 +233,11 @@ impl ClientTelem {
     #[inline]
     pub(crate) fn on_decode_error(&self) {
         self.decode_errors.inc();
+    }
+
+    #[inline]
+    pub(crate) fn on_foreign_conn(&self) {
+        self.foreign_conn.inc();
     }
 
     #[inline]

@@ -536,3 +536,89 @@ fn hostile_datagrams_do_not_disrupt_a_live_session() {
     assert_eq!(report.windows_completed, WINDOWS);
     assert_eq!(report.series.summary().mean_clf, 0.0);
 }
+
+/// A `Bye` stamped with another connection's id — what a server retrying
+/// a finished session's `Bye` at a reused port delivers — reaches a live
+/// client mid-stream. The client drops and counts it, and the stream
+/// still completes every window.
+#[test]
+fn foreign_connection_bye_does_not_end_a_live_session() {
+    use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
+    use std::sync::{Arc, Mutex};
+
+    use espread_net::wire::{ByeReason, HEADER_BYTES};
+
+    const WINDOWS: usize = 4;
+    /// Data datagrams relayed to the client before the stray `Bye`.
+    const INJECT_AFTER: usize = 30;
+    let mut server = NetServer::bind("127.0.0.1:0", server_config(WINDOWS)).unwrap();
+
+    // A transparent relay: `front` faces the client, `back` the server.
+    let front = UdpSocket::bind("127.0.0.1:0").unwrap();
+    let back = UdpSocket::bind("127.0.0.1:0").unwrap();
+    back.connect(server.local_addr()).unwrap();
+    for sock in [&front, &back] {
+        sock.set_read_timeout(Some(Duration::from_millis(10)))
+            .unwrap();
+    }
+    let relay_addr = front.local_addr().unwrap();
+    let client_addr = Arc::new(Mutex::new(None));
+    let stop = Arc::new(AtomicBool::new(false));
+    let upstream = {
+        let (front, back) = (front.try_clone().unwrap(), back.try_clone().unwrap());
+        let (client_addr, stop) = (Arc::clone(&client_addr), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            let mut buf = [0u8; 65_536];
+            while !stop.load(AtomicOrdering::Relaxed) {
+                if let Ok((len, from)) = front.recv_from(&mut buf) {
+                    *client_addr.lock().unwrap() = Some(from);
+                    let _ = back.send(&buf[..len]);
+                }
+            }
+        })
+    };
+    let downstream = {
+        let (client_addr, stop) = (Arc::clone(&client_addr), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            let mut buf = [0u8; 65_536];
+            let mut data = 0usize;
+            while !stop.load(AtomicOrdering::Relaxed) {
+                let Ok(len) = back.recv(&mut buf) else {
+                    continue;
+                };
+                let Some(to) = *client_addr.lock().unwrap() else {
+                    continue;
+                };
+                let _ = front.send_to(&buf[..len], to);
+                let is_data = len >= HEADER_BYTES && buf[5] == 4;
+                data += usize::from(is_data);
+                if is_data && data == INJECT_AFTER {
+                    let conn = u32::from_be_bytes(buf[6..10].try_into().unwrap());
+                    let stray = espread_net::try_encode(
+                        conn.wrapping_add(1),
+                        &espread_net::Msg::Bye(ByeReason::Complete),
+                    )
+                    .unwrap();
+                    let _ = front.send_to(&stray, to);
+                }
+            }
+        })
+    };
+
+    let config = NetClientConfig {
+        retry: quick_retry(),
+        ..NetClientConfig::default()
+    };
+    let client = NetClient::connect(relay_addr, config).unwrap();
+    let report = client.stream().unwrap();
+    stop.store(true, AtomicOrdering::Relaxed);
+    upstream.join().unwrap();
+    downstream.join().unwrap();
+    server.shutdown();
+    assert_eq!(report.windows_completed, WINDOWS);
+    assert!(report.saw_bye, "the session's own Bye still closes it");
+    assert_eq!(
+        report.foreign_conn, 1,
+        "the stray Bye is dropped and counted"
+    );
+}

@@ -32,6 +32,12 @@ impl Ordering {
     pub fn spread() -> Self {
         Ordering::Spread { adaptive: true }
     }
+
+    /// Whether plans under this ordering read the per-layer burst
+    /// estimates (only the adaptive spread does).
+    pub fn is_adaptive(self) -> bool {
+        matches!(self, Ordering::Spread { adaptive: true })
+    }
 }
 
 impl fmt::Display for Ordering {

@@ -60,6 +60,12 @@ impl LayerInfo {
 }
 
 /// A complete send plan for one buffer window.
+///
+/// Besides the public schedule and layer table, a plan carries summaries
+/// [`WindowPlan::build`] derives once — the sorted critical frames, the
+/// layer sizes and each layer's inverse order — so a plan reused across
+/// windows (see [`crate::Server::plan_window`]) answers them without
+/// allocating.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowPlan {
     /// Frames in the order they are offered to the network.
@@ -71,6 +77,13 @@ pub struct WindowPlan {
     /// [`Ordering::InOrder`] this is the whole schedule — the classical
     /// scheme can only react after sending everything.
     pub critical_prefix: usize,
+    /// Frames of the critical layers, in playout order.
+    critical: Vec<usize>,
+    /// `layers[l].frames.len()` for every layer.
+    sizes: Vec<usize>,
+    /// Per layer, the inverse of its order: entry `p` is the layer slot
+    /// that carries layer-local playout position `p`.
+    slot_of: Vec<Vec<usize>>,
 }
 
 impl WindowPlan {
@@ -95,15 +108,13 @@ impl WindowPlan {
             }
         };
 
-        let adaptive = matches!(ordering, Ordering::Spread { adaptive: true });
+        let adaptive = ordering.is_adaptive();
         let decomposition = poset.depth_decomposition();
         let is_critical: Vec<bool> = decomposition
             .iter()
             .map(|layer| layer.iter().any(|&f| poset.upset_size(f) > 0))
             .collect();
 
-        // Per-layer transmission order of layer-local indices.
-        let mut layer_orders: Vec<Vec<usize>> = Vec::with_capacity(decomposition.len());
         let mut layers: Vec<LayerInfo> = Vec::with_capacity(decomposition.len());
         for (idx, frames) in decomposition.iter().enumerate() {
             let len = frames.len();
@@ -132,9 +143,8 @@ impl WindowPlan {
                 frames: frames.clone(),
                 critical,
                 burst_bound: bound,
-                order: order.clone(),
+                order,
             });
-            layer_orders.push(order);
         }
 
         // Assemble the global schedule.
@@ -162,8 +172,8 @@ impl WindowPlan {
                 }
             }
             Ordering::Spread { .. } | Ordering::Ibo => {
-                for (l, order) in layer_orders.iter().enumerate() {
-                    for (slot, &local) in order.iter().enumerate() {
+                for (l, info) in layers.iter().enumerate() {
+                    for (slot, &local) in info.order.iter().enumerate() {
                         schedule.push(ScheduledFrame {
                             frame: decomposition[l][local],
                             layer: l as u8,
@@ -174,19 +184,35 @@ impl WindowPlan {
             }
         }
 
+        let mut critical: Vec<usize> = layers
+            .iter()
+            .filter(|l| l.critical)
+            .flat_map(|l| l.frames.iter().copied())
+            .collect();
+        critical.sort_unstable();
         let critical_prefix = match ordering {
             Ordering::InOrder => schedule.len(),
-            _ => layers
-                .iter()
-                .filter(|l| l.critical)
-                .map(|l| l.frames.len())
-                .sum(),
+            _ => critical.len(),
         };
+        let sizes = layers.iter().map(|l| l.frames.len()).collect();
+        let slot_of = layers
+            .iter()
+            .map(|l| {
+                let mut inverse = vec![0; l.order.len()];
+                for (slot, &local) in l.order.iter().enumerate() {
+                    inverse[local] = slot;
+                }
+                inverse
+            })
+            .collect();
 
         WindowPlan {
             schedule,
             layers,
             critical_prefix,
+            critical,
+            sizes,
+            slot_of,
         }
     }
 
@@ -196,21 +222,46 @@ impl WindowPlan {
     }
 
     /// Frames belonging to critical layers, in playout order.
-    pub fn critical_frames(&self) -> Vec<usize> {
-        let mut out: Vec<usize> = self
-            .layers
-            .iter()
-            .filter(|l| l.critical)
-            .flat_map(|l| l.frames.iter().copied())
-            .collect();
-        out.sort_unstable();
-        out
+    pub fn critical_frames(&self) -> std::iter::Copied<std::slice::Iter<'_, usize>> {
+        self.critical.iter().copied()
     }
 
     /// The sizes of all layers, in layer order (what the client needs to
     /// size its per-layer slot tables).
-    pub fn layer_sizes(&self) -> Vec<usize> {
-        self.layers.iter().map(|l| l.frames.len()).collect()
+    pub fn layer_sizes(&self) -> &[usize] {
+        &self.sizes
+    }
+
+    /// The worst CLF this plan's orders admit if each layer's burst in
+    /// `observed_bursts` recurred at its least favourable slot: the
+    /// maximum over layers with a nonzero burst `b` of the maximum over
+    /// every start of [`LayerInfo::projected_clf`]`(start, b)`, bursts
+    /// truncated at the layer end. `None` when no layer has a nonzero
+    /// burst and frames to lose. Reads the precomputed inverse orders,
+    /// so it neither allocates nor re-validates a permutation.
+    pub fn worst_projected_clf(&self, observed_bursts: &[usize]) -> Option<usize> {
+        self.slot_of
+            .iter()
+            .zip(observed_bursts)
+            .filter(|&(_, &b)| b > 0)
+            .filter_map(|(slot_of, &b)| {
+                let n = slot_of.len();
+                (0..n)
+                    .map(|start| {
+                        // Playout positions whose slot the burst covers,
+                        // scanned in playout order: the longest run of
+                        // covered positions is the burst's CLF.
+                        let lost = start..start.saturating_add(b).min(n);
+                        let (mut run, mut worst) = (0, 0);
+                        for slot in slot_of {
+                            run = if lost.contains(slot) { run + 1 } else { 0 };
+                            worst = worst.max(run);
+                        }
+                        worst
+                    })
+                    .max()
+            })
+            .max()
     }
 }
 
@@ -301,6 +352,32 @@ mod tests {
         let poset = poset2();
         let plan = WindowPlan::build(Ordering::spread(), &poset, &[9, 9, 9, 9, 99]);
         assert_eq!(plan.layers[4].burst_bound, 16);
+    }
+
+    /// `worst_projected_clf` against its definition — the maximum over
+    /// every start of [`LayerInfo::projected_clf`] — for every layer
+    /// length up to 40, every sizing bound and every burst length,
+    /// including bursts longer than the layer.
+    #[test]
+    fn worst_projected_clf_matches_the_per_start_projection_exhaustively() {
+        for n in 0..=40 {
+            let poset = Poset::antichain(n);
+            for bound in 1..=n.max(1) {
+                let plan = WindowPlan::build(Ordering::spread(), &poset, &[bound]);
+                let layer = plan.layers.first();
+                assert_eq!(layer.map(|l| l.burst_bound), (n > 0).then_some(bound));
+                for b in 0..=n + 3 {
+                    let expected = layer
+                        .filter(|_| b > 0)
+                        .and_then(|l| (0..n).filter_map(|s| l.projected_clf(s, b)).max());
+                    assert_eq!(
+                        plan.worst_projected_clf(&[b]),
+                        expected,
+                        "n={n} bound={bound} b={b}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

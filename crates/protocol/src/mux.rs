@@ -140,15 +140,15 @@ impl MuxSession {
             let mut audio_client = ClientWindow::new(
                 w as u64,
                 audio_ldus,
-                &audio_plan.layer_sizes(),
-                audio_plan.critical_frames(),
+                audio_plan.layer_sizes(),
+                audio_plan.critical_frames().collect(),
                 cfg.packet_bytes,
             );
             let mut video_client = ClientWindow::new(
                 w as u64,
                 video_ldus,
-                &video_plan.layer_sizes(),
-                video_plan.critical_frames(),
+                video_plan.layer_sizes(),
+                video_plan.critical_frames().collect(),
                 cfg.packet_bytes,
             );
 

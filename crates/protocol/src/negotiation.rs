@@ -424,6 +424,8 @@ mod tests {
             .dependency_poset(agreed.offer.gops_per_window, agreed.offer.open_gop);
         let plan = WindowPlan::build(Ordering::spread(), &poset, &agreed.layer_sizes);
         assert_eq!(plan.layer_sizes(), agreed.layer_sizes);
-        assert_eq!(plan.critical_frames(), agreed.critical_frames);
+        assert!(plan
+            .critical_frames()
+            .eq(agreed.critical_frames.iter().copied()));
     }
 }

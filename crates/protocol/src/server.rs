@@ -4,6 +4,14 @@
 //! At the start of each buffer window the server folds the freshest ACK
 //! (highest sequence number, §4.2) into its per-layer exponential-averaging
 //! estimators (eq. 1) and generates the window's transmission plan.
+//!
+//! The rounded estimates revisit the same handful of values constantly,
+//! so the server memoizes its plans by the estimate vector they were
+//! built from: a window whose estimates match an earlier window's reuses
+//! that window's [`WindowPlan`] instead of rebuilding it.
+
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use espread_core::BurstEstimator;
 use espread_poset::Poset;
@@ -27,6 +35,12 @@ pub struct AdaptationRecord {
     pub new_estimates: Vec<f64>,
 }
 
+/// Plans one [`Server`] memoizes before it starts over. Distinct
+/// estimate vectors are few (each entry is bounded by its layer's
+/// length), so the bound only stops a pathological feedback stream from
+/// growing the memo without limit; clearing it when full is enough.
+const PLAN_MEMO_CAP: usize = 64;
+
 /// Server state across buffer windows.
 #[derive(Debug, Clone)]
 pub struct Server {
@@ -36,6 +50,14 @@ pub struct Server {
     acks: AckTracker,
     last_applied_window: Option<u64>,
     last_adaptation: Option<AdaptationRecord>,
+    /// Fingerprint of the poset given to [`Server::new`], which every
+    /// [`Server::plan_window`] call must pass again.
+    poset_fingerprint: u64,
+    /// The memo key of the window being planned (reused buffer).
+    key: Vec<usize>,
+    /// Plans by the estimates they were built from; empty keys for
+    /// orderings that ignore the estimates.
+    plans: HashMap<Vec<usize>, Arc<WindowPlan>>,
 }
 
 impl Server {
@@ -66,6 +88,9 @@ impl Server {
             acks: AckTracker::new(),
             last_applied_window: None,
             last_adaptation: None,
+            poset_fingerprint: poset.fingerprint(),
+            key: Vec::new(),
+            plans: HashMap::new(),
         }
     }
 
@@ -80,11 +105,7 @@ impl Server {
     /// run of full-window losses the raw estimate can exceed the layer
     /// size, and spreading against `b > n` is meaningless.
     pub fn estimates(&self) -> Vec<usize> {
-        self.estimators
-            .iter()
-            .zip(&self.layer_sizes)
-            .map(|(e, &len)| e.bounded(len))
-            .collect()
+        bounded(&self.estimators, &self.layer_sizes).collect()
     }
 
     /// Raw (un-rounded) estimator values, for reporting.
@@ -94,7 +115,19 @@ impl Server {
 
     /// Starts a new buffer window: folds in the freshest unapplied ACK and
     /// returns the transmission plan.
-    pub fn plan_window(&mut self, poset: &Poset) -> WindowPlan {
+    ///
+    /// `poset` must be the poset given to [`Server::new`] (checked in
+    /// debug builds): plans are memoized by their estimates alone. The
+    /// returned plan equals `WindowPlan::build(ordering, poset,
+    /// &self.estimates())`; on a repeat of earlier estimates it is the
+    /// earlier plan, shared, and planning without fresh feedback then
+    /// allocates nothing.
+    pub fn plan_window(&mut self, poset: &Poset) -> Arc<WindowPlan> {
+        debug_assert_eq!(
+            poset.fingerprint(),
+            self.poset_fingerprint,
+            "plan_window needs the poset the server was created with"
+        );
         self.last_adaptation = None;
         if let Some(fb) = self.acks.latest() {
             let newer = self
@@ -121,7 +154,22 @@ impl Server {
                 });
             }
         }
-        WindowPlan::build(self.ordering, poset, &self.estimates())
+        self.key.clear();
+        if self.ordering.is_adaptive() {
+            self.key
+                .extend(bounded(&self.estimators, &self.layer_sizes));
+        }
+        if let Some(plan) = self.plans.get(self.key.as_slice()) {
+            return Arc::clone(plan);
+        }
+        // The key is all `build` reads of the estimates: orderings that
+        // ignore them build from the empty key alike.
+        let plan = Arc::new(WindowPlan::build(self.ordering, poset, &self.key));
+        if self.plans.len() >= PLAN_MEMO_CAP {
+            self.plans.clear();
+        }
+        self.plans.insert(self.key.clone(), Arc::clone(&plan));
+        plan
     }
 
     /// The adaptation performed by the most recent [`Self::plan_window`]
@@ -130,6 +178,17 @@ impl Server {
     pub fn take_last_adaptation(&mut self) -> Option<AdaptationRecord> {
         self.last_adaptation.take()
     }
+}
+
+/// Each estimator's value rounded and clamped to its layer's length.
+fn bounded<'a>(
+    estimators: &'a [BurstEstimator],
+    layer_sizes: &'a [usize],
+) -> impl Iterator<Item = usize> + 'a {
+    estimators
+        .iter()
+        .zip(layer_sizes)
+        .map(|(e, &len)| e.bounded(len))
 }
 
 #[cfg(test)]
@@ -229,6 +288,64 @@ mod tests {
         let estimates = server.estimates();
         assert_eq!(estimates[4], 16, "B layer clamped to its length");
         assert!(estimates[..4].iter().all(|&e| e <= 2), "anchor layers too");
+    }
+
+    #[test]
+    fn repeated_estimates_reuse_the_memoized_plan() {
+        let (config, poset) = setup();
+        let mut server = Server::new(&config, &poset);
+        let ack = |server: &mut Server, seq: u64, b: usize| {
+            server.offer_ack(
+                seq,
+                WindowFeedback {
+                    window: seq - 1,
+                    per_layer_burst: vec![1, 1, 1, 1, b],
+                },
+            );
+        };
+        let prior = server.plan_window(&poset);
+        assert!(Arc::ptr_eq(&prior, &server.plan_window(&poset)));
+        ack(&mut server, 1, 0); // B estimate 8 → 4: a new plan
+        let moved = server.plan_window(&poset);
+        assert!(!Arc::ptr_eq(&prior, &moved));
+        assert_eq!(moved.layers[4].burst_bound, 4);
+        ack(&mut server, 2, 12); // 4 → 8: the prior's plan again
+        assert!(Arc::ptr_eq(&prior, &server.plan_window(&poset)));
+    }
+
+    #[test]
+    fn orderings_that_ignore_estimates_plan_once() {
+        let (config, poset) = setup();
+        for ordering in [
+            Ordering::InOrder,
+            Ordering::Ibo,
+            Ordering::Spread { adaptive: false },
+        ] {
+            let mut server = Server::new(&config.clone().with_ordering(ordering), &poset);
+            let first = server.plan_window(&poset);
+            for seq in 1..=4 {
+                server.offer_ack(
+                    seq,
+                    WindowFeedback {
+                        window: seq - 1,
+                        per_layer_burst: vec![2, 0, 2, 0, 3 * seq as usize],
+                    },
+                );
+                assert!(
+                    Arc::ptr_eq(&first, &server.plan_window(&poset)),
+                    "{ordering}"
+                );
+            }
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "plan_window needs the poset the server was created with")]
+    fn planning_with_another_poset_is_caught_in_debug_builds() {
+        let (config, poset) = setup();
+        let mut server = Server::new(&config, &poset);
+        let _ = server.plan_window(&GopPattern::gop12().dependency_poset(1, false));
     }
 
     #[test]

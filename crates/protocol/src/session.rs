@@ -175,7 +175,7 @@ impl Session {
 
             // 1. Server reads feedback that has arrived by now.
             {
-                let _span = self.telem.span("protocol.session.feedback_ns");
+                let _span = self.telem.feedback_ns.start_timer();
                 for d in channel.poll_acks(window_start) {
                     if let FeedbackMsg::WindowAck(fb) = d.packet.payload {
                         server.offer_ack(d.packet.seq, fb);
@@ -183,28 +183,18 @@ impl Session {
                 }
             }
             let plan = {
-                let _span = self.telem.span("protocol.session.plan_ns");
+                let _span = self.telem.plan_ns.start_timer();
                 server.plan_window(&self.source.poset)
             };
             if let Some(record) = server.take_last_adaptation() {
-                self.telem.adaptation(w, &record);
                 // Project the observed bursts through the freshly planned
                 // orders: the worst CLF the new plan would admit if each
                 // layer's reported burst recurred at the least favourable
                 // slot. Observed bursts can exceed a (shrunken) layer or
                 // straddle the window boundary, hence the truncating
                 // projection.
-                let worst = plan
-                    .layers
-                    .iter()
-                    .zip(&record.observed_bursts)
-                    .filter(|&(_, &b)| b > 0)
-                    .filter_map(|(layer, &b)| {
-                        (0..layer.order.len())
-                            .filter_map(|start| layer.projected_clf(start, b))
-                            .max()
-                    })
-                    .max();
+                let worst = plan.worst_projected_clf(&record.observed_bursts);
+                self.telem.adaptation(w, record);
                 if let Some(clf) = worst {
                     self.telem.projected_clf(clf);
                 }
@@ -214,8 +204,8 @@ impl Session {
             let mut client = ClientWindow::new(
                 w,
                 ldus,
-                &plan.layer_sizes(),
-                plan.critical_frames(),
+                plan.layer_sizes(),
+                plan.critical_frames().collect(),
                 cfg.packet_bytes,
             );
 
@@ -276,7 +266,7 @@ impl Session {
             };
 
             // 2. Critical phase.
-            let send_span = self.telem.span("protocol.session.send_ns");
+            let send_span = self.telem.send_ns.start_timer();
             let (critical, rest) = plan.schedule.split_at(plan.critical_prefix);
             for sf in critical {
                 let _ = send_frame(
@@ -386,7 +376,7 @@ impl Session {
             let outcome = client.finalize(deadline);
             fec_recovered += outcome.fec_recovered as u64;
             timing.record_window(window_start, cycle, frame_duration, &outcome.completions);
-            for &f in &plan.critical_frames() {
+            for f in plan.critical_frames() {
                 critical_total += 1;
                 critical_lost += u64::from(outcome.pattern.is_lost(f));
             }

@@ -1,7 +1,7 @@
 //! Session instruments: handles resolved once per run, so the session
 //! loop records without registry lookups.
 
-use espread_telemetry::{current, Counter, Event, Gauge, Registry, SpanGuard};
+use espread_telemetry::{current, Counter, Event, Gauge, Histogram, Registry};
 
 use crate::server::AdaptationRecord;
 
@@ -9,9 +9,14 @@ use crate::server::AdaptationRecord;
 #[derive(Debug, Clone)]
 pub struct SessionTelem {
     registry: Registry,
+    /// Span histograms of the session loop's three server phases.
+    pub(crate) feedback_ns: Histogram,
+    pub(crate) plan_ns: Histogram,
+    pub(crate) send_ns: Histogram,
     alf: Gauge,
     clf: Gauge,
     projected_clf: Gauge,
+    projected_clf_hist: Histogram,
     windows: Counter,
     retransmissions: Counter,
 }
@@ -19,9 +24,13 @@ pub struct SessionTelem {
 impl SessionTelem {
     pub(crate) fn new(registry: Registry) -> Self {
         SessionTelem {
+            feedback_ns: registry.histogram("protocol.session.feedback_ns"),
+            plan_ns: registry.histogram("protocol.session.plan_ns"),
+            send_ns: registry.histogram("protocol.session.send_ns"),
             alf: registry.gauge("protocol.window.alf"),
             clf: registry.gauge("protocol.window.clf"),
             projected_clf: registry.gauge("protocol.adaptation.projected_clf"),
+            projected_clf_hist: registry.histogram("protocol.adaptation.projected_clf_hist"),
             windows: registry.counter("protocol.session.windows"),
             retransmissions: registry.counter("protocol.session.retransmissions"),
             registry,
@@ -32,12 +41,6 @@ impl SessionTelem {
     /// override when one is installed, else the process-wide global.
     pub(crate) fn default_global() -> Self {
         Self::new(current())
-    }
-
-    /// Starts an RAII span on this session's registry.
-    #[inline]
-    pub(crate) fn span(&self, name: &'static str) -> SpanGuard {
-        self.registry.histogram(name).start_timer()
     }
 
     /// Records one finished window: ALF/CLF gauges plus a
@@ -59,14 +62,15 @@ impl SessionTelem {
         });
     }
 
-    /// Logs one adaptation decision (an applied window ACK).
-    pub(crate) fn adaptation(&self, window: u64, record: &AdaptationRecord) {
+    /// Logs one adaptation decision (an applied window ACK), moving the
+    /// record's vectors into the event.
+    pub(crate) fn adaptation(&self, window: u64, record: AdaptationRecord) {
         self.registry.emit(Event::Adaptation {
             window,
             feedback_window: record.feedback_window,
-            observed_bursts: record.observed_bursts.clone(),
-            old_estimates: record.old_estimates.clone(),
-            new_estimates: record.new_estimates.clone(),
+            observed_bursts: record.observed_bursts,
+            old_estimates: record.old_estimates,
+            new_estimates: record.new_estimates,
         });
     }
 
@@ -76,9 +80,7 @@ impl SessionTelem {
     #[inline]
     pub(crate) fn projected_clf(&self, clf: usize) {
         self.projected_clf.set(clf as f64);
-        self.registry
-            .histogram("protocol.adaptation.projected_clf_hist")
-            .record(clf as u64);
+        self.projected_clf_hist.record(clf as u64);
     }
 
     /// Bumps the retransmission counter.

@@ -1,7 +1,9 @@
 //! Property-based tests for protocol invariants across random
 //! configurations and channels.
 
-use espread_protocol::{Ordering, ProtocolConfig, Recovery, Session, StreamSource, WindowPlan};
+use espread_protocol::{
+    Ordering, ProtocolConfig, Recovery, Server, Session, StreamSource, WindowFeedback, WindowPlan,
+};
 use espread_trace::{AudioStream, GopPattern, Movie, MpegTrace};
 use proptest::prelude::*;
 
@@ -40,6 +42,47 @@ proptest! {
         prop_assert_eq!(order.len(), poset.len());
         prop_assert!(poset.is_linear_extension(&order), "{} {:?}", ordering, order);
         prop_assert!(plan.critical_prefix <= plan.schedule.len());
+    }
+
+    /// The server's plan memo is invisible: whatever the ACK sequence
+    /// (fresh, repeated or reordered feedback, windows without any), every
+    /// memoized plan equals a fresh build from the server's estimates, and
+    /// its worst projected CLF equals the per-start projection's maximum.
+    #[test]
+    fn memoized_plans_equal_fresh_builds(
+        ordering in any_ordering(),
+        w in 1usize..3,
+        acks in prop::collection::vec(
+            (0u64..40, prop::collection::vec(0usize..8, 5)),
+            1..40,
+        ),
+    ) {
+        let poset = GopPattern::gop12().dependency_poset(w, false);
+        let cfg = ProtocolConfig::paper(0.6, 1).with_ordering(ordering);
+        let mut server = Server::new(&cfg, &poset);
+        for (window, (seq, bursts)) in acks.into_iter().enumerate() {
+            // Sequence 0 stands for a window whose ACK never arrived.
+            if seq > 0 {
+                server.offer_ack(seq, WindowFeedback {
+                    window: window as u64,
+                    per_layer_burst: bursts.clone(),
+                });
+            }
+            let plan = server.plan_window(&poset);
+            prop_assert_eq!(&*plan, &WindowPlan::build(ordering, &poset, &server.estimates()));
+            let projected = plan
+                .layers
+                .iter()
+                .zip(&bursts)
+                .filter(|&(_, &b)| b > 0)
+                .filter_map(|(layer, &b)| {
+                    (0..layer.order.len())
+                        .filter_map(|start| layer.projected_clf(start, b))
+                        .max()
+                })
+                .max();
+            prop_assert_eq!(plan.worst_projected_clf(&bursts), projected);
+        }
     }
 
     /// Sessions are deterministic in the seed and never report more loss
