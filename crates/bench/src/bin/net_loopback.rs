@@ -10,7 +10,8 @@
 //! whose seeded Gilbert–Elliott channel drops only data datagrams, in
 //! arrival order — so both orderings face the identical per-slot loss
 //! realisation and the artifact in `results/net_loopback.json` is
-//! deterministic. Wall-clock throughput goes to stdout only.
+//! deterministic, as is stdout. Wall-clock throughput goes to stderr
+//! only.
 
 use std::time::Instant;
 
@@ -103,20 +104,20 @@ fn main() {
     ];
 
     println!(
-        "{:<10} {:>9} {:>12} {:>13} {:>12} {:>11}",
-        "ordering", "mean CLF", "lost frames", "dropped data", "rx MB", "throughput"
+        "{:<10} {:>9} {:>12} {:>13} {:>12}",
+        "ordering", "mean CLF", "lost frames", "dropped data", "rx MB"
     );
     let mut rows = Vec::new();
     for run in &runs {
         let mb = run.bytes_rx as f64 / 1e6;
         println!(
-            "{:<10} {:>9.3} {:>12} {:>13} {:>12.2} {:>8.1} MB/s",
+            "{:<10} {:>9.3} {:>12} {:>13} {:>12.2}",
+            run.name, run.mean_clf, run.lost_frames, run.dropped_data, mb,
+        );
+        eprintln!(
+            "{}: {:.1} MB/s wall-clock throughput",
             run.name,
-            run.mean_clf,
-            run.lost_frames,
-            run.dropped_data,
-            mb,
-            mb / (run.elapsed_ms / 1e3),
+            mb / (run.elapsed_ms / 1e3)
         );
         // Deterministic fields only: no timings, no control-plane counts
         // (retry cadence is wall-clock-dependent).

@@ -17,9 +17,8 @@
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use espread_netsim::GilbertModel;
 
@@ -337,12 +336,14 @@ impl DirState {
 }
 
 /// A running proxy; dropping (or [`FaultProxy::shutdown`]) stops and
-/// joins its thread.
+/// joins its two relay threads.
 #[derive(Debug)]
 pub struct FaultProxy {
     client_addr: SocketAddr,
+    client_sock: Arc<UdpSocket>,
+    server_sock: Arc<UdpSocket>,
     shutdown: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    handles: Vec<JoinHandle<()>>,
     counters: Arc<Counters>,
 }
 
@@ -377,85 +378,63 @@ impl FaultProxy {
         to_server: FaultPolicy,
         recorder: SessionRecorder,
     ) -> io::Result<Self> {
-        let client_sock = UdpSocket::bind("127.0.0.1:0")?;
-        client_sock.set_read_timeout(Some(Duration::from_millis(1)))?;
+        let client_sock = Arc::new(UdpSocket::bind("127.0.0.1:0")?);
         let client_addr = client_sock.local_addr()?;
-        let server_sock = UdpSocket::bind("127.0.0.1:0")?;
-        server_sock.set_read_timeout(Some(Duration::from_millis(1)))?;
-        server_sock.connect(upstream)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
+        // Left unconnected: the relay checks each datagram's source
+        // itself, so the shutdown wake can still reach this socket.
+        let server_sock = Arc::new(UdpSocket::bind("127.0.0.1:0")?);
         let counters = Arc::new(Counters::default());
         let telem = ProxyTelem::default_global();
-        let mut down = DirState::new(
+        let down = DirState::new(
             &to_client,
             Arc::clone(&counters),
             telem.clone(),
             recorder.clone(),
         );
-        let mut up = DirState::new(&to_server, Arc::clone(&counters), telem, recorder);
-        let stop = Arc::clone(&shutdown);
-        let handle = std::thread::Builder::new()
-            .name("espread-net-proxy".into())
-            .spawn(move || {
-                let mut buf = vec![0u8; 65_536];
-                let mut last_client: Option<SocketAddr> = None;
-                while !stop.load(AtomicOrdering::SeqCst) {
-                    // Drain each socket completely per cycle — the 1 ms
-                    // read timeout only bites when a direction is idle,
-                    // so a window's burst is relayed back-to-back.
-                    loop {
-                        match client_sock.recv_from(&mut buf) {
-                            Ok((len, from)) => {
-                                last_client = Some(from);
-                                for out in up.process(&buf[..len]) {
-                                    if server_sock.send(&out).is_err() {
-                                        up.counters
-                                            .send_errors
-                                            .fetch_add(1, AtomicOrdering::Relaxed);
-                                        up.telem.on_send_error();
-                                    }
-                                }
-                            }
-                            Err(e)
-                                if e.kind() == io::ErrorKind::WouldBlock
-                                    || e.kind() == io::ErrorKind::TimedOut =>
-                            {
-                                break
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                    loop {
-                        match server_sock.recv(&mut buf) {
-                            Ok(len) => {
-                                if let Some(client) = last_client {
-                                    for out in down.process(&buf[..len]) {
-                                        if client_sock.send_to(&out, client).is_err() {
-                                            down.counters
-                                                .send_errors
-                                                .fetch_add(1, AtomicOrdering::Relaxed);
-                                            down.telem.on_send_error();
-                                        }
-                                    }
-                                }
-                            }
-                            Err(e)
-                                if e.kind() == io::ErrorKind::WouldBlock
-                                    || e.kind() == io::ErrorKind::TimedOut =>
-                            {
-                                break
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                }
-            })?;
-        Ok(FaultProxy {
+        let up = DirState::new(&to_server, Arc::clone(&counters), telem, recorder);
+        let mut proxy = FaultProxy {
             client_addr,
-            shutdown,
-            handle: Some(handle),
+            client_sock,
+            server_sock,
+            shutdown: Arc::new(AtomicBool::new(false)),
+            handles: Vec::with_capacity(2),
             counters,
-        })
+        };
+        // Replies go to whichever client spoke last. Every write stores
+        // a whole `Copy` value, so a poisoned lock still holds a valid one.
+        let last_client: Arc<Mutex<Option<SocketAddr>>> = Arc::default();
+        let seen = Arc::clone(&last_client);
+        // A failed spawn drops `proxy`, which wakes and joins the relay
+        // thread already running.
+        proxy.handles.push(relay(
+            "espread-net-proxy-up",
+            &proxy.client_sock,
+            &proxy.server_sock,
+            &proxy.shutdown,
+            up,
+            move |from| {
+                *seen.lock().unwrap_or_else(PoisonError::into_inner) = Some(from);
+                Some(upstream)
+            },
+        )?);
+        proxy.handles.push(relay(
+            "espread-net-proxy-down",
+            &proxy.server_sock,
+            &proxy.client_sock,
+            &proxy.shutdown,
+            down,
+            move |from| {
+                // An unconnected socket takes any sender: drop all but
+                // the server here, before a stranger can step the chain
+                // or touch a counter.
+                if from == upstream {
+                    *last_client.lock().unwrap_or_else(PoisonError::into_inner)
+                } else {
+                    None
+                }
+            },
+        )?);
+        Ok(proxy)
     }
 
     /// The address clients should treat as "the server".
@@ -480,13 +459,65 @@ impl FaultProxy {
         }
     }
 
-    /// Stops the proxy thread and joins it. Idempotent.
+    /// Stops both relay threads and joins them. Idempotent.
+    ///
+    /// Each thread is parked in a blocking receive, so after raising the
+    /// flag each socket sends the other a zero-length wake datagram.
     pub fn shutdown(&mut self) {
+        if self.handles.is_empty() {
+            return;
+        }
         self.shutdown.store(true, AtomicOrdering::SeqCst);
-        if let Some(handle) = self.handle.take() {
+        if let Ok(server_side) = self.server_sock.local_addr() {
+            let _ = self.client_sock.send_to(&[], server_side);
+        }
+        let _ = self.server_sock.send_to(&[], self.client_addr);
+        for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
     }
+}
+
+/// Spawns one relay thread. It blocks in `recv_from` on `rx` with no
+/// timeout, so a datagram is relayed the moment it lands. `route` maps a
+/// datagram's source to where `tx` sends it, or to `None` to drop it
+/// unprocessed. The stop flag is checked after every receive, before
+/// anything is processed, so the zero-length wake
+/// [`FaultProxy::shutdown`] sends never reaches the counters.
+fn relay(
+    name: &str,
+    rx: &Arc<UdpSocket>,
+    tx: &Arc<UdpSocket>,
+    stop: &Arc<AtomicBool>,
+    mut dir: DirState,
+    mut route: impl FnMut(SocketAddr) -> Option<SocketAddr> + Send + 'static,
+) -> io::Result<JoinHandle<()>> {
+    let (rx, tx, stop) = (Arc::clone(rx), Arc::clone(tx), Arc::clone(stop));
+    std::thread::Builder::new()
+        .name(name.into())
+        .spawn(move || {
+            let mut buf = vec![0u8; 65_536];
+            loop {
+                let received = rx.recv_from(&mut buf);
+                if stop.load(AtomicOrdering::SeqCst) {
+                    return;
+                }
+                let Ok((len, source)) = received else {
+                    continue;
+                };
+                let Some(dest) = route(source) else {
+                    continue;
+                };
+                for out in dir.process(&buf[..len]) {
+                    if tx.send_to(&out, dest).is_err() {
+                        dir.counters
+                            .send_errors
+                            .fetch_add(1, AtomicOrdering::Relaxed);
+                        dir.telem.on_send_error();
+                    }
+                }
+            }
+        })
 }
 
 impl Drop for FaultProxy {
@@ -500,6 +531,7 @@ mod tests {
     use super::*;
     use crate::wire::{self, ByeReason, DataMsg, Msg};
     use espread_protocol::{Fragment, Ldu};
+    use std::time::Duration;
 
     fn data_bytes(slot: u16) -> Vec<u8> {
         wire::try_encode(
@@ -733,5 +765,119 @@ mod tests {
         assert_eq!(proxy.stats().forwarded, 2);
         proxy.shutdown();
         proxy.shutdown(); // idempotent
+    }
+
+    /// A proxy in front of a fresh upstream socket, plus a client socket;
+    /// both test sockets time out rather than hang.
+    fn proxied() -> (FaultProxy, UdpSocket, UdpSocket) {
+        let upstream = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let client = UdpSocket::bind("127.0.0.1:0").unwrap();
+        for sock in [&upstream, &client] {
+            sock.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        }
+        let proxy = FaultProxy::spawn(
+            upstream.local_addr().unwrap(),
+            FaultPolicy::transparent(),
+            FaultPolicy::transparent(),
+        )
+        .unwrap();
+        (proxy, upstream, client)
+    }
+
+    #[test]
+    fn server_side_drops_foreign_sources_unprocessed() {
+        let (mut proxy, upstream, client) = proxied();
+        client
+            .send_to(&control_bytes(), proxy.client_addr())
+            .unwrap();
+        let mut buf = [0u8; 1500];
+        let (_, server_side) = upstream.recv_from(&mut buf).unwrap();
+        // A stranger writes to the server-facing socket before the real
+        // server does: the relay must neither forward nor count it.
+        let stranger = UdpSocket::bind("127.0.0.1:0").unwrap();
+        stranger.send_to(&data_bytes(9), server_side).unwrap();
+        upstream.send_to(&data_bytes(3), server_side).unwrap();
+        let (len, _) = client.recv_from(&mut buf).unwrap();
+        assert_eq!(
+            &buf[..len],
+            &data_bytes(3)[..],
+            "only the server's datagram"
+        );
+        client
+            .set_read_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        assert!(client.recv_from(&mut buf).is_err(), "stranger not relayed");
+        proxy.shutdown();
+        let st = proxy.stats();
+        assert_eq!((st.processed, st.forwarded), (2, 2), "{st:?}");
+        assert!(st.conserved());
+    }
+
+    #[test]
+    fn idle_proxy_wakes_and_joins_both_threads() {
+        let (mut proxy, _upstream, _client) = proxied();
+        assert_eq!(proxy.handles.len(), 2, "one relay thread per direction");
+        // Both threads sit in a blocking receive: shutdown must wake them
+        // rather than hang, so run it under a watchdog.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            proxy.shutdown();
+            let _ = done_tx.send(proxy);
+        });
+        let mut proxy = done_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("shutdown joined both relay threads");
+        assert!(proxy.handles.is_empty());
+        let st = proxy.stats();
+        assert_eq!(st, ProxyStats::default(), "the wakes touch no counter");
+        assert!(st.conserved());
+        proxy.shutdown(); // a no-op the second time
+        assert_eq!(proxy.stats(), st);
+    }
+
+    #[test]
+    fn concurrent_traffic_both_ways_is_relayed_and_conserves() {
+        const N: u16 = 300;
+        // Echoes in flight at once, kept well under a loopback socket's
+        // receive buffer so the kernel never drops one.
+        const WINDOW: usize = 32;
+        let (mut proxy, upstream, client) = proxied();
+        let echo = std::thread::spawn(move || {
+            let mut buf = [0u8; 1500];
+            for _ in 0..N {
+                let (len, from) = upstream.recv_from(&mut buf).unwrap();
+                upstream.send_to(&buf[..len], from).unwrap();
+            }
+        });
+        let client = Arc::new(client);
+        let echoed = Arc::new(AtomicU64::new(0));
+        let sender = {
+            let (client, echoed, to) = (
+                Arc::clone(&client),
+                Arc::clone(&echoed),
+                proxy.client_addr(),
+            );
+            std::thread::spawn(move || {
+                for i in 0..N {
+                    while u64::from(i) >= echoed.load(AtomicOrdering::SeqCst) + WINDOW as u64 {
+                        std::thread::yield_now();
+                    }
+                    client.send_to(&data_bytes(i), to).unwrap();
+                }
+            })
+        };
+        let mut buf = [0u8; 1500];
+        for i in 0..N {
+            let (len, _) = client.recv_from(&mut buf).unwrap();
+            assert_eq!(&buf[..len], &data_bytes(i)[..], "echo {i} in order");
+            echoed.fetch_add(1, AtomicOrdering::SeqCst);
+        }
+        sender.join().unwrap();
+        echo.join().unwrap();
+        proxy.shutdown();
+        let st = proxy.stats();
+        let total = 2 * u64::from(N);
+        assert_eq!((st.processed, st.forwarded), (total, total), "{st:?}");
+        assert!(st.conserved());
     }
 }

@@ -12,7 +12,6 @@
 //! Malformed datagrams are counted and dropped, never trusted.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -35,17 +34,6 @@ use crate::wire::{self, Accept, Msg, Reject, CONN_NONE};
 /// How long a blocking socket wait may run before re-checking the
 /// shutdown flag.
 const POLL: Duration = Duration::from_millis(5);
-
-/// Effectively-zero read timeout used while draining a burst: the demux
-/// takes one datagram under [`POLL`], then flips to this and keeps
-/// reading until the queue is empty. A read *timeout* (not
-/// `set_nonblocking`) so the shards' blocking sends on the shared socket
-/// are never affected.
-const DRAIN: Duration = Duration::from_micros(1);
-
-/// Most datagrams handled per readiness wake, so a sustained flood
-/// cannot starve the shutdown check or the reaped-id drain.
-const DRAIN_BATCH: usize = 256;
 
 /// Most worker shards `workers = 0` (auto) will pick.
 const MAX_AUTO_WORKERS: usize = 8;
@@ -435,15 +423,11 @@ impl Demux {
             while let Ok(conn) = self.reaped_rx.try_recv() {
                 live.remove(&conn);
             }
-            let (len, from) = match self.socket.recv_from(&mut buf) {
-                Ok(ok) => ok,
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    continue
-                }
-                Err(_) => continue,
+            // A blocking read returns at once while datagrams are queued,
+            // so a connection wave drains back-to-back; the timeout only
+            // bounds how long an idle demux takes to see the flag above.
+            let Ok((len, from)) = self.socket.recv_from(&mut buf) else {
+                continue;
             };
             self.handle_datagram(
                 &buf[..len],
@@ -452,29 +436,6 @@ impl Demux {
                 &mut live,
                 &mut next_conn,
             );
-            // A connection wave queues datagrams faster than one read per
-            // wake can retire them: drop the timeout to effectively zero
-            // and drain whatever is already queued before blocking again.
-            // A read timeout (not `set_nonblocking`) leaves the shards'
-            // sends on the shared socket untouched; the batch cap keeps a
-            // sustained flood from starving the shutdown check above.
-            if self.socket.set_read_timeout(Some(DRAIN)).is_ok() {
-                for _ in 1..DRAIN_BATCH {
-                    match self.socket.recv_from(&mut buf) {
-                        Ok((len, from)) => {
-                            self.handle_datagram(
-                                &buf[..len],
-                                from,
-                                &mut handshakes,
-                                &mut live,
-                                &mut next_conn,
-                            );
-                        }
-                        Err(_) => break,
-                    }
-                }
-                let _ = self.socket.set_read_timeout(Some(POLL));
-            }
         }
         // Disconnect the shard channels, then join the workers.
         drop(self.shards);
