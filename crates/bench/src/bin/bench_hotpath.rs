@@ -4,14 +4,17 @@
 //! cargo run --release -p espread-bench --bin bench_hotpath
 //! ```
 //!
-//! Measures six families against a floor operation each. Five are the
+//! Measures seven families against a floor operation each. Six are the
 //! paths this repo's zero-alloc work keeps fast — k-CPO apply/invert
 //! through the order cache, layered order construction, wire
 //! encode/decode through the pooled scratch, a complete steady-state
-//! `NetWindow` reassembly lap, and one planning round (`offer_ack` of a
+//! `NetWindow` reassembly lap, one planning round (`offer_ack` of a
 //! fresh ACK, the estimator update, and `plan_window` answered from the
-//! server's plan memo) — timed against one 1200-byte `memcpy`, i.e. pure
-//! memory traffic with no bookkeeping at all. The sixth, `obs_record`,
+//! server's plan memo), and one RS(8,2) parity round (`encode_into` of a
+//! group's two parity shards, then the client window's `recover_with` of
+//! two erasures through the byte decoder) — timed against one 1200-byte
+//! `memcpy`, i.e. pure memory traffic with no bookkeeping at all. The
+//! seventh, `obs_record`,
 //! is `FlightRecorder::record()` in its steady (overwriting) regime,
 //! timed against the work `record()` cannot avoid: one uncontended mutex
 //! lock, one monotonic clock read and one store.
@@ -30,6 +33,7 @@ use std::time::Instant;
 
 use espread_bench::gate;
 use espread_core::{calculate_permutation_cached, LayeredOrder};
+use espread_fec::Codec;
 use espread_net::clientwin::{NetWindow, NetWindowOutcome, RecoverScratch};
 use espread_net::wire::{self, DataMsg, DecodeScratch, Msg, ParityMember, ParityMsg};
 use espread_obs::{data_detail, EventKind, FlightRecorder, Role, DEFAULT_CAPACITY};
@@ -201,9 +205,49 @@ fn main() -> ExitCode {
         steady,
         "the ACKs must keep the estimates"
     );
+
+    // Family 6: one RS(8,2) parity round at the UDP benchmark's 512-byte
+    // shards — the sender's encode, then a window that lost two of the
+    // eight members repairing them from both parities.
+    let codec = Codec::new(8, 2).expect("RS(8,2) geometry");
+    let shards = vec![vec![0u8; 512]; 8];
+    let mut parities: Vec<Vec<u8>> = vec![Vec::new(); 2];
+    parity.m = 2;
+    parity.shard_bytes = 512;
+    parity.members = (0..8)
+        .map(|frame| ParityMember {
+            frame,
+            frag: 0,
+            frags_total: 1,
+        })
+        .collect();
+    let fec = measure(&mut memcpy, |_| {
+        codec
+            .encode_into(std::hint::black_box(&shards), &mut parities)
+            .expect("encode");
+        window += 1;
+        win.reset(window, 8, &[8], &[]);
+        for frame in 2..8 {
+            let mut msg = data_fragment(window, frame, 0);
+            msg.fragment.frags_total = 1;
+            (msg.fragment.layer, msg.fragment.layer_slot) = (0, frame as u16);
+            win.accept(&msg);
+        }
+        parity.window = window;
+        for parity_index in 0..2 {
+            parity.parity_index = parity_index;
+            win.accept_parity(&parity);
+        }
+        win.recover_with(&mut rs);
+    });
+    assert_eq!(
+        win.close().pattern.lost(),
+        0,
+        "parity repairs both erasures"
+    );
     std::hint::black_box(&dst);
 
-    // Family 6: the flight recorder's record(), warmed past capacity so
+    // Family 7: the flight recorder's record(), warmed past capacity so
     // every measured call is in the steady (overwriting) regime the
     // recorder runs in for long sessions. Its floor: uncontended lock +
     // clock read + store.
@@ -238,6 +282,7 @@ fn main() -> ExitCode {
         ("hotpath.wire_codec.ratio", wire, "memcpy"),
         ("hotpath.reassembly.ratio", netwin, "memcpy"),
         ("hotpath.plan.ratio", plan, "memcpy"),
+        ("hotpath.fec.ratio", fec, "memcpy"),
         ("hotpath.obs_record.ratio", record, "lock+clock+store"),
     ];
     println!("  medians of {TRIALS} trials, each family trial paired with a floor trial");

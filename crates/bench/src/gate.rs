@@ -1,7 +1,7 @@
 //! The one performance gate: every gated metric with its pinned value,
 //! checked in-process by the bench binary that measures it.
 //!
-//! `bench_hotpath` gates its six families' ratios to their floors,
+//! `bench_hotpath` gates its seven families' ratios to their floors,
 //! `net_c10k` and `net_overload` their session rates. Each calls
 //! [`check`] with its fresh numbers and exits non-zero when it returns
 //! `false`. A value fails when it is worse than `value × (1 ± TOLERANCE)`.
@@ -81,6 +81,8 @@ pub const GATES: &[Gate] = &[
     Gate::lower("hotpath.obs_record.ratio", 1.104),
     // Worst of 10 runs of the interleaved-median measurement.
     Gate::lower("hotpath.plan.ratio", 13.334),
+    // Worst of 7 runs (731.1–956.6).
+    Gate::lower("hotpath.fec.ratio", 956.588),
     Gate::higher("net_c10k.sessions_per_s", 1012.0),
     Gate::higher("net_overload.sessions_per_s", 512.0),
 ];

@@ -423,7 +423,7 @@ fn hostile_window_guard(rng: &mut DetRng, v: &mut Vec<String>) {
             ));
         }
     }
-    let _ = w.finalize();
+    let _ = w.close();
 }
 
 /// Burst observations derived from the network must never panic the

@@ -1,11 +1,13 @@
 //! Byte-level systematic erasure coding over GF(256) for the
 //! error-spreading transport.
 //!
-//! Where `espread_protocol::fec` models parity *structurally* (member
-//! lists, no payloads), this crate moves real bytes: a systematic
-//! `(k, m)` code that turns `k` equal-length data shards into `m` parity
-//! shards such that **any** `≤ m` erasures among the data shards are
-//! recoverable byte-identically from the survivors.
+//! A systematic `(k, m)` code that turns `k` equal-length data shards
+//! into `m` parity shards such that **any** `≤ m` erasures among the
+//! data shards are recoverable byte-identically from the survivors. The
+//! client window (`espread_protocol::ClientWindow`) decides which groups
+//! repair by exactly that rule; on the UDP transport this codec does the
+//! byte work behind its decoder interface, while the simulator, which
+//! moves no payload bytes, takes the rule's verdict alone.
 //!
 //! Two generator families share one decoder:
 //!

@@ -20,7 +20,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use espread_protocol::{
-    negotiate, AgreedSession, ClientCapabilities, ProtocolConfig, SessionOffer, StreamSource,
+    check_wire_limits, negotiate, AgreedSession, ClientCapabilities, ProtocolConfig, SessionOffer,
+    StreamSource,
 };
 
 use crate::error::NetError;
@@ -130,20 +131,11 @@ impl NetServerConfig {
         if self.offer.fps != self.source.fps {
             return Err(NetError::Config("offer and source disagree on fps".into()));
         }
-        // The Accept's frames/window field and the Data frame index are
-        // both u16 on the wire (see the wire-limits table in `wire`).
-        if self.offer.frames_per_window() > usize::from(u16::MAX) {
-            return Err(NetError::Config(format!(
-                "window of {} frames exceeds the wire's {} maximum",
-                self.offer.frames_per_window(),
-                u16::MAX
-            )));
-        }
-        if self.offer.packet_bytes > u32::from(u16::MAX) {
-            return Err(NetError::Config(
-                "packet size exceeds the wire's 64 KiB payload field".into(),
-            ));
-        }
+        // The Accept's frames/window field, the Data frame index and its
+        // payload length are all u16 on the wire (see the wire-limits
+        // table in `wire`).
+        check_wire_limits(self.offer.frames_per_window(), self.offer.packet_bytes)
+            .map_err(NetError::Config)?;
         if u32::try_from(self.source.window_count()).is_err() {
             return Err(NetError::Config("too many windows for the wire".into()));
         }

@@ -23,7 +23,8 @@ use std::time::{Duration, Instant};
 
 use espread_fec::Codec;
 use espread_protocol::{
-    FecPolicy, FecScope, ProtocolConfig, Server, StreamSource, WindowFeedback, WindowPlan,
+    FecPolicy, FecScope, ParityGrouper, ProtocolConfig, Server, StreamSource, WindowFeedback,
+    WindowPlan,
 };
 
 use crate::obsrec::SessionRecorder;
@@ -122,14 +123,8 @@ struct FecState {
     /// The full `(k, m)` codec; an under-filled tail group builds a
     /// smaller one on the fly.
     codec: Codec,
-    /// Next group id within the current window.
-    group: u32,
-    /// Members of the open (unfilled) group, in transmission order.
-    members: Vec<ParityMember>,
-    /// Largest member payload so far — the group's shard size.
-    shard_bytes: u16,
-    /// Per-frame flags: does the policy's scope cover this frame?
-    in_scope: Vec<bool>,
+    /// The open group and the window's next group id.
+    groups: ParityGrouper,
     /// Reusable zero-filled data shards and parity outputs.
     data: Vec<Vec<u8>>,
     parity: Vec<Vec<u8>>,
@@ -163,7 +158,7 @@ pub(crate) struct SessionCore {
     fec: Option<FecState>,
     limits: SessionLimits,
     /// Per-frame criticality of the current window (the shed boundary:
-    /// `true` frames are never shed).
+    /// `true` frames are never shed; also the `FecScope::Critical` scope).
     critical: Vec<bool>,
     /// When the current window's first `WindowEnd` went out — the stale
     /// clock retransmission requests are judged against.
@@ -211,11 +206,8 @@ impl SessionCore {
                 .ok()
                 .map(|codec| FecState {
                     policy: fec,
+                    groups: ParityGrouper::new(codec.k(), codec.m() as u8),
                     codec,
-                    group: 0,
-                    members: Vec::new(),
-                    shard_bytes: 0,
-                    in_scope: Vec::new(),
                     data: Vec::new(),
                     parity: Vec::new(),
                 })
@@ -417,19 +409,7 @@ impl SessionCore {
             }
         }
         if let Some(fec) = &mut self.fec {
-            fec.group = 0;
-            fec.members.clear();
-            fec.shard_bytes = 0;
-            fec.in_scope.clear();
-            fec.in_scope
-                .resize(frames, matches!(fec.policy.scope, FecScope::All));
-            if matches!(fec.policy.scope, FecScope::Critical) {
-                for f in plan.critical_frames() {
-                    if let Some(slot) = fec.in_scope.get_mut(f) {
-                        *slot = true;
-                    }
-                }
-            }
+            fec.groups.reset(self.window as u64);
         }
         self.plan = Some(plan);
         self.cursor = SendCursor { slot: 0, frag: 0 };
@@ -482,102 +462,73 @@ impl SessionCore {
         payload_len: u16,
     ) {
         let Some(fec) = &mut self.fec else { return };
-        if !fec.in_scope.get(frame).copied().unwrap_or(false) {
+        let in_scope = match fec.policy.scope {
+            FecScope::All => true,
+            FecScope::Critical => self.critical.get(frame).copied().unwrap_or(false),
+            FecScope::Off => false,
+        };
+        if !in_scope {
             return;
         }
         let Ok(frame) = u16::try_from(frame) else {
             return;
         };
-        fec.members.push(ParityMember {
+        let member = ParityMember {
             frame,
             frag,
             frags_total,
-        });
-        fec.shard_bytes = fec.shard_bytes.max(payload_len);
-        if fec.members.len() == fec.codec.k() {
-            self.fec_emit_group(ctx, false);
+        };
+        if let Some(group) = fec.groups.push(member, payload_len) {
+            self.fec_emit_group(ctx, group);
         }
     }
 
-    /// Encodes and sends the open group's parity datagrams, then resets
-    /// the group. `partial` closes an under-filled tail group (flushed
-    /// before `WindowEnd`) with a codec of its actual size.
-    fn fec_emit_group(&mut self, ctx: &mut Ctx<'_>, partial: bool) {
-        // First borrow scope: run the parity generator and take the
-        // member list out of the FEC state, so the sends below can
-        // borrow `self` mutably without cloning members per datagram.
-        let (m, group, shard_bytes, members) = {
-            let Some(fec) = &mut self.fec else { return };
-            if fec.members.is_empty() {
+    /// Encodes and sends a closed group's `m` parity datagrams. An
+    /// under-filled tail group (flushed before `WindowEnd`) encodes with
+    /// a codec of its actual size.
+    fn fec_emit_group(&mut self, ctx: &mut Ctx<'_>, group: ParityMsg) {
+        let Some(fec) = &mut self.fec else { return };
+        let k = group.members.len();
+        let tail; // owns a tail-sized codec when the group is partial
+        let codec = if k == fec.codec.k() {
+            &fec.codec
+        } else {
+            let Ok(c) = Codec::new(k, fec.codec.m()) else {
+                fec.groups.recycle(group);
                 return;
-            }
-            let k = fec.members.len();
-            let tail; // owns a tail-sized codec when the group is partial
-            let codec = if partial && k != fec.codec.k() {
-                match Codec::new(k, fec.codec.m()) {
-                    Ok(c) => {
-                        tail = c;
-                        &tail
-                    }
-                    Err(_) => {
-                        fec.members.clear();
-                        fec.shard_bytes = 0;
-                        return;
-                    }
-                }
-            } else {
-                &fec.codec
             };
-            let bytes = usize::from(fec.shard_bytes);
-            // Traces carry sizes, not content, so the data shards here
-            // are the wire's zero fill — but the parity still runs
-            // through the real generator, so the send path pays the
-            // true byte cost the frontier bench measures.
-            fec.data.resize_with(k, Vec::new);
-            for shard in fec.data.iter_mut() {
-                shard.clear();
-                shard.resize(bytes, 0);
-            }
-            fec.parity.resize_with(codec.m(), Vec::new);
-            codec
-                .encode_into(&fec.data[..k], &mut fec.parity)
-                .expect("group geometry matches its codec");
-            let group = fec.group;
-            let shard_bytes = fec.shard_bytes;
-            fec.group += 1;
-            fec.shard_bytes = 0;
-            (
-                codec.m(),
-                group,
-                shard_bytes,
-                std::mem::take(&mut fec.members),
-            )
+            tail = c;
+            &tail
         };
+        let bytes = usize::from(group.shard_bytes);
+        // Traces carry sizes, not content, so the data shards here are
+        // the wire's zero fill — but the parity still runs through the
+        // real generator, so the send path pays the true byte cost the
+        // frontier bench measures.
+        fec.data.resize_with(k, Vec::new);
+        for shard in fec.data.iter_mut() {
+            shard.clear();
+            shard.resize(bytes, 0);
+        }
+        fec.parity.resize_with(codec.m(), Vec::new);
+        codec
+            .encode_into(&fec.data[..k], &mut fec.parity)
+            .expect("group geometry matches its codec");
+        let m = group.m;
         // One Msg serves all m parity datagrams: only the parity index
-        // changes between sends, and the member list goes back into the
-        // FEC state afterwards so the steady state allocates nothing.
-        let mut msg = Msg::Parity(ParityMsg {
-            window: self.window as u64,
-            group,
-            m: m as u8,
-            parity_index: 0,
-            shard_bytes,
-            members,
-        });
+        // changes between sends, and the member list goes back to the
+        // grouper afterwards so the steady state allocates nothing.
+        let mut msg = Msg::Parity(group);
         for i in 0..m {
             if let Msg::Parity(p) = &mut msg {
-                p.parity_index = i as u8;
+                p.parity_index = i;
             }
             self.send(ctx, &msg);
         }
-        if let Msg::Parity(p) = msg {
-            let mut members = p.members;
-            members.clear();
-            if let Some(fec) = &mut self.fec {
-                fec.members = members;
-            }
+        if let (Msg::Parity(p), Some(fec)) = (msg, &mut self.fec) {
+            fec.groups.recycle(p);
         }
-        self.telem.on_fec_group(m as u64);
+        self.telem.on_fec_group(u64::from(m));
     }
 
     /// The transmit pump: while in the sending phase and the pacing
@@ -601,7 +552,9 @@ impl SessionCore {
             let Some(plan) = &self.plan else { break };
             if self.cursor.slot >= plan.schedule.len() {
                 // Close the tail FEC group before the window does.
-                self.fec_emit_group(ctx, true);
+                if let Some(group) = self.fec.as_mut().and_then(|f| f.groups.flush()) {
+                    self.fec_emit_group(ctx, group);
+                }
                 let w = self.window as u64;
                 let end = self.window_end(ctx.now, w);
                 self.send(ctx, &end);

@@ -40,14 +40,20 @@
 //! | `Parity` group members | 255 entries | [`MAX_PARITY_MEMBERS`] |
 //!
 //! Session negotiation enforces the same ceilings up front
-//! (`NetServerConfig::validate` rejects `frames_per_window > 65 535`), so
-//! a well-configured stack never trips them; [`try_encode`] is the
+//! (`NetServerConfig::validate` applies
+//! [`check_wire_limits`](espread_protocol::check_wire_limits), which
+//! rejects `frames_per_window > 65 535` and packets over 64 KiB, as the
+//! simulator's sessions do), so a well-configured stack never trips them; [`try_encode`] is the
 //! last-line guard for untrusted or computed sizes.
 
 use std::error::Error;
 use std::fmt;
 
 use espread_protocol::{Fragment, Ldu, Ordering};
+
+/// The data-path messages are the client window's own types; this module
+/// gives them their wire encoding.
+pub use espread_protocol::client::{DataMsg, ParityMember, ParityMsg};
 
 /// The protocol magic, `"ESPR"` as a big-endian u32.
 pub const MAGIC: u32 = 0x4553_5052;
@@ -204,18 +210,6 @@ pub struct Reject {
     pub reason: String,
 }
 
-/// One media fragment on the wire.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DataMsg {
-    /// The fragment's protocol labelling (window, frame, layer, slot, …).
-    pub fragment: Fragment,
-    /// The whole LDU this fragment belongs to (validated non-zero via
-    /// [`Ldu::try_new`] on decode).
-    pub ldu: Ldu,
-    /// Bytes of media payload carried after the header.
-    pub payload_len: u16,
-}
-
 /// End-of-window marker; also the RTT probe (the client echoes
 /// `sent_at_us` in its ACK).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -249,46 +243,6 @@ pub struct CriticalNackMsg {
     pub window: u64,
     /// Missing critical frame indices (playout positions).
     pub missing: Vec<u16>,
-}
-
-/// One member fragment of a parity group — enough labelling for the
-/// client to identify (and, after recovery, reconstruct) the shard even
-/// when the member's data datagram never arrived.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParityMember {
-    /// Frame index within the window.
-    pub frame: u16,
-    /// Fragment index within the frame.
-    pub frag: u16,
-    /// The frame's total fragment count (lets the client size the
-    /// frame's reassembly bitmap for wholly lost frames).
-    pub frags_total: u16,
-}
-
-/// A parity shard over a transmission-order group of data fragments.
-///
-/// The server emits `m` of these after every `group_k` in-scope
-/// fragments; the member list names exactly which fragments the shard
-/// protects, in transmission order. Like [`DataMsg`], the parity payload
-/// is zero-filled on encode and discarded on decode — the traces carry
-/// sizes, not content, so the wire stays byte-accurate (the bandwidth
-/// overhead the frontier bench charts is real) without shipping bytes
-/// the simulator never had.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParityMsg {
-    /// Window the group belongs to.
-    pub window: u64,
-    /// Group sequence number within the window (transmission order).
-    pub group: u32,
-    /// Parity shards in this group (`m` of the `(k, m)` code).
-    pub m: u8,
-    /// Which of the `m` shards this datagram carries (`0..m`).
-    pub parity_index: u8,
-    /// Shard length in bytes — every member fragment is padded to this
-    /// for the GF(256) arithmetic, and the payload is exactly this long.
-    pub shard_bytes: u16,
-    /// The protected fragments, in transmission order (`k` entries).
-    pub members: Vec<ParityMember>,
 }
 
 /// Why a [`Msg::Bye`] was sent.

@@ -1,146 +1,442 @@
-//! Client-side protocol state for one buffer window.
+//! Client-side reassembly, loss observation and erasure repair for one
+//! buffer window — the one client window both transports drive.
 //!
-//! The client reassembles fragments, tracks per-layer delivery in the
-//! **transmission-slot domain** (the observation `calculatePermutation`
-//! needs), reports missing critical frames for retransmission, and at
-//! window end produces the playout-order loss pattern plus the ACK
-//! feedback of §4.2.
+//! The client of §4.2 has three jobs: reassemble each window, measure
+//! per-layer loss bursts in the **transmission-slot domain** (the
+//! observation `calculatePermutation` needs) and ACK them, and repair
+//! losses with the orthogonal parity of Fig. 4. [`ClientWindow`] does all
+//! three from the data-path messages alone. It cannot be pre-sized from
+//! the sender's LDU list — on the UDP transport the wire is all it knows
+//! — so each frame's fragment count is learned from the first fragment
+//! that arrives for it (`frags_total`), mismatching or out-of-range
+//! labels are rejected (counted upstream as bad fragments), and a frame
+//! no fragment of ever arrives for is simply lost.
+//!
+//! The window owns no socket and no clock. Repair is split in two: the
+//! window decides *whether* a parity group repairs (its erased members
+//! are no more than its surviving parities), and a [`ShardDecoder`] does
+//! the byte work. The UDP client decodes real shards through
+//! `espread-fec`; the simulator, which moves no payload bytes, passes
+//! [`VerdictOnly`].
 
-use espread_netsim::SimTime;
 use espread_qos::LossPattern;
 
-use crate::fec::{apply_fec_recovery, FragmentKey, ParityPacket};
 use crate::feedback::WindowFeedback;
-use crate::packetize::{Fragment, Ldu, Reassembly};
+use crate::packetize::{Fragment, Ldu};
 
-/// Data-path payloads: media fragments and FEC parity packets.
+/// One media fragment on the data path.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DataMsg {
+    /// The fragment's protocol labelling (window, frame, layer, slot, …).
+    pub fragment: Fragment,
+    /// The whole LDU this fragment belongs to (validated non-zero via
+    /// [`Ldu::try_new`] on decode).
+    pub ldu: Ldu,
+    /// Bytes of media payload carried after the header.
+    pub payload_len: u16,
+}
+
+/// One member fragment of a parity group — enough labelling for the
+/// client to identify (and, after recovery, reconstruct) the shard even
+/// when the member's data datagram never arrived.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ParityMember {
+    /// Frame index within the window.
+    pub frame: u16,
+    /// Fragment index within the frame.
+    pub frag: u16,
+    /// The frame's total fragment count (lets the client size the
+    /// frame's reassembly bitmap for wholly lost frames).
+    pub frags_total: u16,
+}
+
+/// A parity shard over a transmission-order group of data fragments.
+///
+/// The sender emits `m` of these after every `k` in-scope fragments (see
+/// [`ParityGrouper`](crate::packetize::ParityGrouper)); the member list
+/// names exactly which fragments the shard protects, in transmission
+/// order. Like [`DataMsg`], the parity payload is zero-filled on the UDP
+/// wire and absent in the simulator — the traces carry sizes, not
+/// content, so the wire stays byte-accurate (the bandwidth overhead the
+/// frontier bench charts is real) without shipping bytes the simulator
+/// never had.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParityMsg {
+    /// Window the group belongs to.
+    pub window: u64,
+    /// Group sequence number within the window (transmission order).
+    pub group: u32,
+    /// Parity shards in this group (`m` of the `(k, m)` code).
+    pub m: u8,
+    /// Which of the `m` shards this datagram carries (`0..m`).
+    pub parity_index: u8,
+    /// Shard length in bytes — every member fragment is padded to this
+    /// for the GF(256) arithmetic, and the payload is exactly this long.
+    pub shard_bytes: u16,
+    /// The protected fragments, in transmission order (`k` entries).
+    pub members: Vec<ParityMember>,
+}
+
+/// Data-path payloads of the simulated channel: media fragments and
+/// parity shards.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DataPayload {
     /// A fragment of an LDU.
-    Fragment(Fragment),
-    /// An XOR parity packet.
-    Parity(ParityPacket),
+    Data(DataMsg),
+    /// A parity shard.
+    Parity(ParityMsg),
 }
 
-/// Per-window client state.
+/// The byte work behind a recovery verdict.
+///
+/// [`ClientWindow::recover_with`] calls this only for a group its
+/// recoverability rule admits: `present[i]` says whether data member `i`
+/// arrived, `parity_seen[j]` whether parity shard `j` did, and the
+/// erased members are no more than the surviving parities. Every shard
+/// is `shard_bytes` long.
+pub trait ShardDecoder {
+    /// Rebuilds the group's erased members. `false` means the decoder
+    /// could not (a geometry it does not support): the group is left as
+    /// it is, uncounted, for a later pass.
+    fn rebuild(&mut self, shard_bytes: usize, present: &[bool], parity_seen: &[bool]) -> bool;
+}
+
+/// A decoder that accepts the recoverability rule's verdict without
+/// touching a byte — for transports that carry no payloads. Any group of
+/// an MDS code with no more erasures than surviving parities decodes, so
+/// the verdicts match a byte decoder's.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct VerdictOnly;
+
+impl ShardDecoder for VerdictOnly {
+    fn rebuild(&mut self, _: usize, _: &[bool], _: &[bool]) -> bool {
+        true
+    }
+}
+
+/// Reassembly, per-layer slot observation and erasure repair for one
+/// window.
+///
+/// A `ClientWindow` is built to be **reused**: [`ClientWindow::reset`]
+/// re-arms it for the next window while keeping every interior buffer —
+/// frame flag bitmaps, layer slot rows, parity groups — pooled for
+/// reuse, so a steady-state stream allocates only on its first window.
 #[derive(Debug, Clone)]
 pub struct ClientWindow {
     window: u64,
-    reassembly: Reassembly,
-    received_keys: Vec<FragmentKey>,
-    parities: Vec<ParityPacket>,
+    /// Per frame: received-fragment flags, allocated on first sighting.
+    frames: Vec<Option<Vec<bool>>>,
     /// layer → slot → was any fragment of that slot's frame received?
     layer_slots_seen: Vec<Vec<bool>>,
-    critical_frames: Vec<usize>,
-    window_len: usize,
-    /// When each frame finished reassembly (None while incomplete).
-    completions: Vec<Option<SimTime>>,
+    /// Kept as the wire's `u16` indices so building a `CriticalNack`
+    /// needs no narrowing cast that could silently truncate.
+    critical_frames: Vec<u16>,
+    /// FEC groups observed on this window, in first-sighting order (so
+    /// recovery is deterministic under any arrival interleaving).
+    parity_groups: Vec<ParityGroup>,
+    /// Recovery staging: which members of the group under test arrived.
+    present: Vec<bool>,
+    /// Retired frame-flag bitmaps awaiting reuse (filled by `reset`,
+    /// drained by `accept`/`recover_with`). Never observable in behavior.
+    spare_flags: Vec<Vec<bool>>,
+    /// Retired parity groups awaiting reuse.
+    spare_groups: Vec<ParityGroup>,
 }
 
-/// The client's verdict on one finished window.
-#[derive(Debug, Clone, PartialEq)]
+/// One erasure-coding group as learned from its parity messages.
+#[derive(Debug, Clone, Default)]
+struct ParityGroup {
+    group: u32,
+    m: u8,
+    shard_bytes: u16,
+    members: Vec<ParityMember>,
+    /// parity_index → did that parity message arrive?
+    parity_seen: Vec<bool>,
+    /// Recovery passes repeat (each `WindowEnd` round, then the close);
+    /// a group is reported unrecoverable at most once, though later
+    /// retransmissions may still shrink its erasures into budget.
+    counted_unrecoverable: bool,
+}
+
+/// What one recovery pass over a window's parity groups achieved.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FecRecovery {
+    /// Fragments newly marked received by erasure decoding.
+    pub recovered: usize,
+    /// Groups whose erasures exceeded their surviving parity.
+    pub unrecoverable: usize,
+}
+
+/// What the window looked like when it closed.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WindowOutcome {
-    /// Playout-order delivery pattern after all recovery.
+    /// The window number.
+    pub window: u64,
+    /// Playout-order delivery pattern.
     pub pattern: LossPattern,
-    /// The feedback to ACK back to the server.
-    pub feedback: WindowFeedback,
-    /// Number of fragments repaired by FEC.
-    pub fec_recovered: usize,
-    /// Per-frame reassembly-completion times (None = never completed).
-    pub completions: Vec<Option<SimTime>>,
+    /// Largest run of lost transmission slots per layer (the ACK body).
+    pub per_layer_burst: Vec<u16>,
+}
+
+impl WindowOutcome {
+    /// The §4.2 window ACK this outcome reports.
+    pub fn feedback(&self) -> WindowFeedback {
+        WindowFeedback {
+            window: self.window,
+            per_layer_burst: self
+                .per_layer_burst
+                .iter()
+                .map(|&b| usize::from(b))
+                .collect(),
+        }
+    }
 }
 
 impl ClientWindow {
-    /// Prepares the client for window `window` of `ldus`, with the layer
-    /// sizes and critical-frame set it knows from initial negotiation
-    /// (GOP pattern), at the negotiated packet size.
+    /// Prepares tracking for window `window` of `frames_per_window`
+    /// frames, with the per-window layer sizes and critical-frame indices
+    /// agreed at negotiation.
     pub fn new(
         window: u64,
-        ldus: &[Ldu],
-        layer_sizes: &[usize],
-        critical_frames: Vec<usize>,
-        packet_bytes: u32,
+        frames_per_window: usize,
+        layer_sizes: &[u16],
+        critical_frames: &[u16],
     ) -> Self {
         ClientWindow {
             window,
-            reassembly: Reassembly::new(ldus, packet_bytes),
-            received_keys: Vec::new(),
-            parities: Vec::new(),
-            layer_slots_seen: layer_sizes.iter().map(|&n| vec![false; n]).collect(),
-            critical_frames,
-            window_len: ldus.len(),
-            completions: vec![None; ldus.len()],
+            frames: vec![None; frames_per_window],
+            layer_slots_seen: layer_sizes
+                .iter()
+                .map(|&n| vec![false; usize::from(n)])
+                .collect(),
+            critical_frames: critical_frames.to_vec(),
+            parity_groups: Vec::new(),
+            present: Vec::new(),
+            spare_flags: Vec::new(),
+            spare_groups: Vec::new(),
         }
     }
 
-    /// Accepts one data packet that arrived at time `now`. Packets for
-    /// other windows are ignored (stale retransmissions).
-    pub fn accept(&mut self, now: SimTime, payload: &DataPayload) {
-        match payload {
-            DataPayload::Fragment(f) => {
-                if f.window != self.window {
-                    return;
-                }
-                self.reassembly.accept(f);
-                self.received_keys.push(f.into());
-                if self.completions[f.frame].is_none() && self.reassembly.is_complete(f.frame) {
-                    self.completions[f.frame] = Some(now);
-                }
-                let layer = usize::from(f.layer);
-                let slot = usize::from(f.layer_slot);
-                if let Some(row) = self.layer_slots_seen.get_mut(layer) {
-                    if let Some(cell) = row.get_mut(slot) {
-                        *cell = true;
-                    }
-                }
+    /// Re-arms this tracker for a new window with the same or a new
+    /// session shape, recycling every interior buffer. Equivalent to
+    /// replacing `self` with [`ClientWindow::new`] — observable state is
+    /// identical — but a steady-state stream allocates nothing here.
+    pub fn reset(
+        &mut self,
+        window: u64,
+        frames_per_window: usize,
+        layer_sizes: &[u16],
+        critical_frames: &[u16],
+    ) {
+        self.window = window;
+        for frame in self.frames.iter_mut() {
+            if let Some(flags) = frame.take() {
+                self.spare_flags.push(flags);
             }
-            DataPayload::Parity(p) => {
-                if p.window == self.window {
-                    self.parities.push(p.clone());
-                }
-            }
+        }
+        self.frames.clear();
+        self.frames.resize(frames_per_window, None);
+        self.layer_slots_seen
+            .resize_with(layer_sizes.len(), Vec::new);
+        for (row, &n) in self.layer_slots_seen.iter_mut().zip(layer_sizes) {
+            row.clear();
+            row.resize(usize::from(n), false);
+        }
+        self.critical_frames.clear();
+        self.critical_frames.extend_from_slice(critical_frames);
+        for group in self.parity_groups.drain(..) {
+            self.spare_groups.push(group);
         }
     }
 
-    /// Critical frames still missing at least one fragment — the NACK the
-    /// client sends after the critical phase.
-    pub fn missing_critical(&self) -> Vec<usize> {
-        self.critical_frames
-            .iter()
-            .copied()
-            .filter(|&f| !self.reassembly.is_complete(f))
-            .collect()
+    /// The window this tracker observes.
+    pub fn window(&self) -> u64 {
+        self.window
     }
 
-    /// Finishes the window at time `now`: applies FEC recovery, derives
-    /// the playout loss pattern, and assembles the feedback (per-layer
-    /// worst loss burst in the transmission-slot domain). Frames completed
-    /// only by FEC repair are stamped with `now` (repair happens at window
-    /// close).
-    pub fn finalize(mut self, now: SimTime) -> WindowOutcome {
-        let _span = espread_telemetry::span("protocol.client.finalize_ns");
-        let fec_recovered = apply_fec_recovery(
-            &mut self.reassembly,
-            &mut self.received_keys,
-            &self.parities,
+    /// Accepts one data message. Returns `false` (and changes nothing)
+    /// when the labels don't fit the negotiated session — wrong window,
+    /// out-of-range frame/layer/slot, or a fragment count disagreeing
+    /// with what this frame's earlier fragments declared.
+    pub fn accept(&mut self, msg: &DataMsg) -> bool {
+        let f = &msg.fragment;
+        if f.window != self.window {
+            return false;
+        }
+        let Some(slot_row) = self.layer_slots_seen.get_mut(usize::from(f.layer)) else {
+            return false;
+        };
+        let Some(slot_cell) = slot_row.get_mut(usize::from(f.layer_slot)) else {
+            return false;
+        };
+        let Some(frame) = self.frames.get_mut(f.frame) else {
+            return false;
+        };
+        let flags = frame
+            .get_or_insert_with(|| take_flags(&mut self.spare_flags, usize::from(f.frags_total)));
+        if flags.len() != usize::from(f.frags_total) {
+            return false;
+        }
+        // frag < frags_total was already enforced by the wire decoder,
+        // but re-check: this type is constructible without it.
+        let Some(cell) = flags.get_mut(usize::from(f.frag)) else {
+            return false;
+        };
+        *cell = true;
+        *slot_cell = true;
+        true
+    }
+
+    /// Whether every fragment of frame `frame` has arrived. Out-of-range
+    /// indices read as incomplete — a hostile Accept can name critical
+    /// frames past `frames_per_window`, and that must not panic here.
+    pub fn is_complete(&self, frame: usize) -> bool {
+        self.frames
+            .get(frame)
+            .and_then(|f| f.as_ref())
+            .is_some_and(|flags| flags.iter().all(|&r| r))
+    }
+
+    /// Accepts one parity message. Returns `false` (and changes nothing)
+    /// when its labels don't fit this window — wrong window, out-of-range
+    /// frame or parity index — or contradict an earlier message of the
+    /// same group (hostile or corrupted geometry).
+    pub fn accept_parity(&mut self, msg: &ParityMsg) -> bool {
+        if msg.window != self.window || msg.m == 0 || msg.parity_index >= msg.m {
+            return false;
+        }
+        if msg.members.is_empty() {
+            return false;
+        }
+        for member in &msg.members {
+            if usize::from(member.frame) >= self.frames.len()
+                || member.frags_total == 0
+                || member.frag >= member.frags_total
+            {
+                return false;
+            }
+        }
+        if let Some(g) = self.parity_groups.iter_mut().find(|g| g.group == msg.group) {
+            if g.m != msg.m || g.shard_bytes != msg.shard_bytes || g.members != msg.members {
+                return false;
+            }
+            g.parity_seen[usize::from(msg.parity_index)] = true;
+            return true;
+        }
+        // First sighting: the group value itself is the handle — it is
+        // fully built (parity bit included) before the push, so there is
+        // no post-push lookup to go wrong on the datagram path.
+        let mut g = self.spare_groups.pop().unwrap_or_default();
+        g.group = msg.group;
+        g.m = msg.m;
+        g.shard_bytes = msg.shard_bytes;
+        g.members.clear();
+        g.members.extend_from_slice(&msg.members);
+        g.parity_seen.clear();
+        g.parity_seen.resize(usize::from(msg.m), false);
+        g.parity_seen[usize::from(msg.parity_index)] = true;
+        g.counted_unrecoverable = false;
+        self.parity_groups.push(g);
+        true
+    }
+
+    /// One erasure-recovery pass: every group whose erased members are
+    /// no more than its surviving parities is handed to `decoder` and,
+    /// once rebuilt, its missing fragments are marked received.
+    /// Idempotent — a second pass finds nothing left to recover. Groups
+    /// never overlap on either transport, so one pass in first-sighting
+    /// order is final.
+    ///
+    /// Recovered fragments deliberately do **not** mark
+    /// `layer_slots_seen`: the ACK's burst feedback keeps describing the
+    /// raw channel, so the server's burst estimator is not blinded by
+    /// its own parity.
+    pub fn recover_with<D: ShardDecoder + ?Sized>(&mut self, decoder: &mut D) -> FecRecovery {
+        let mut out = FecRecovery::default();
+        for gi in 0..self.parity_groups.len() {
+            let g = &self.parity_groups[gi];
+            self.present.clear();
+            self.present.extend(g.members.iter().map(|mem| {
+                self.frames[usize::from(mem.frame)]
+                    .as_ref()
+                    .is_some_and(|flags| {
+                        flags.len() == usize::from(mem.frags_total) && flags[usize::from(mem.frag)]
+                    })
+            }));
+            let erased = self.present.iter().filter(|&&p| !p).count();
+            if erased == 0 {
+                continue;
+            }
+            let surviving = g.parity_seen.iter().filter(|&&p| p).count();
+            if erased > surviving {
+                let g = &mut self.parity_groups[gi];
+                if !g.counted_unrecoverable {
+                    g.counted_unrecoverable = true;
+                    out.unrecoverable += 1;
+                }
+                continue;
+            }
+            if !decoder.rebuild(usize::from(g.shard_bytes), &self.present, &g.parity_seen) {
+                continue;
+            }
+            for (mi, mem) in g.members.iter().enumerate() {
+                if self.present[mi] {
+                    continue;
+                }
+                let frame = &mut self.frames[usize::from(mem.frame)];
+                let flags = frame.get_or_insert_with(|| {
+                    take_flags(&mut self.spare_flags, usize::from(mem.frags_total))
+                });
+                if flags.len() == usize::from(mem.frags_total) {
+                    flags[usize::from(mem.frag)] = true;
+                    out.recovered += 1;
+                }
+            }
+        }
+        out
+    }
+
+    /// Critical frames still missing at least one fragment, as wire
+    /// indices — the body of a `CriticalNack`.
+    pub fn missing_critical(&self) -> Vec<u16> {
+        let mut out = Vec::new();
+        self.missing_critical_into(&mut out);
+        out
+    }
+
+    /// [`ClientWindow::missing_critical`] into a caller-owned buffer
+    /// (cleared first), for NACK construction without a per-round
+    /// allocation.
+    pub fn missing_critical_into(&self, out: &mut Vec<u16>) {
+        out.clear();
+        out.extend(
+            self.critical_frames
+                .iter()
+                .filter(|&&f| !self.is_complete(usize::from(f)))
+                .copied(),
         );
+    }
 
-        let completeness = self.reassembly.completeness();
-        for (f, &complete) in completeness.iter().enumerate() {
-            if complete && self.completions[f].is_none() {
-                self.completions[f] = Some(now);
-            }
-        }
-        let pattern = LossPattern::from_received(completeness.iter().copied());
-        debug_assert_eq!(pattern.len(), self.window_len);
+    /// Closes the window: playout loss pattern plus the per-layer worst
+    /// burst of lost transmission slots. The tracker is kept, for
+    /// [`ClientWindow::reset`] to re-arm for the next window.
+    pub fn close(&self) -> WindowOutcome {
+        let mut out = WindowOutcome::default();
+        self.close_into(&mut out);
+        out
+    }
 
-        let per_layer_burst = self
-            .layer_slots_seen
-            .iter()
-            .map(|row| {
-                // Longest run of un-seen transmission slots in this layer.
-                let mut best = 0;
-                let mut cur = 0;
+    /// [`ClientWindow::close`] into a caller-owned outcome, reusing its
+    /// pattern and burst buffers — the zero-steady-state-allocation form.
+    pub fn close_into(&self, out: &mut WindowOutcome) {
+        out.window = self.window;
+        out.pattern
+            .set_from_received((0..self.frames.len()).map(|f| self.is_complete(f)));
+        out.per_layer_burst.clear();
+        out.per_layer_burst
+            .extend(self.layer_slots_seen.iter().map(|row| {
+                let mut best = 0u16;
+                let mut cur = 0u16;
                 for &seen in row {
                     if seen {
                         cur = 0;
@@ -150,139 +446,306 @@ impl ClientWindow {
                     }
                 }
                 best
-            })
-            .collect();
-
-        WindowOutcome {
-            pattern,
-            feedback: WindowFeedback {
-                window: self.window,
-                per_layer_burst,
-            },
-            fec_recovered,
-            completions: self.completions,
-        }
+            }));
     }
+}
+
+/// Pops a recycled flag bitmap (or makes one) sized to `len`, all false.
+fn take_flags(pool: &mut Vec<Vec<bool>>, len: usize) -> Vec<bool> {
+    let mut flags = pool.pop().unwrap_or_default();
+    flags.clear();
+    flags.resize(len, false);
+    flags
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const T0: SimTime = SimTime::ZERO;
+    fn data(
+        window: u64,
+        frame: usize,
+        frag: u16,
+        frags_total: u16,
+        layer: u8,
+        slot: u16,
+    ) -> DataMsg {
+        DataMsg {
+            fragment: Fragment {
+                window,
+                frame,
+                frag,
+                frags_total,
+                layer,
+                layer_slot: slot,
+                retransmit: false,
+            },
+            ldu: Ldu::new(100),
+            payload_len: 100,
+        }
+    }
 
-    fn frag(window: u64, frame: usize, layer: u8, layer_slot: u16) -> DataPayload {
-        DataPayload::Fragment(Fragment {
+    fn window() -> ClientWindow {
+        // 4 frames: 0,1 in layer 0 (critical), 2,3 in layer 1.
+        ClientWindow::new(0, 4, &[2, 2], &[0, 1])
+    }
+
+    fn parity(window: u64, group: u32, m: u8, idx: u8, members: &[(u16, u16, u16)]) -> ParityMsg {
+        ParityMsg {
             window,
-            frame,
-            frag: 0,
-            frags_total: 1,
-            layer,
-            layer_slot,
-            retransmit: false,
-        })
+            group,
+            m,
+            parity_index: idx,
+            shard_bytes: 64,
+            members: members
+                .iter()
+                .map(|&(frame, frag, frags_total)| ParityMember {
+                    frame,
+                    frag,
+                    frags_total,
+                })
+                .collect(),
+        }
     }
 
-    fn small_window() -> ClientWindow {
-        // 4 frames: frames 0,1 critical (layer 0), frames 2,3 layer 1.
-        ClientWindow::new(0, &[Ldu::new(100); 4], &[2, 2], vec![0, 1], 2048)
-    }
-
-    #[test]
-    fn tracks_missing_critical() {
-        let mut c = small_window();
-        assert_eq!(c.missing_critical(), vec![0, 1]);
-        c.accept(T0, &frag(0, 0, 0, 0));
-        assert_eq!(c.missing_critical(), vec![1]);
-        c.accept(T0, &frag(0, 1, 0, 1));
-        assert!(c.missing_critical().is_empty());
+    fn recover(w: &mut ClientWindow) -> FecRecovery {
+        w.recover_with(&mut VerdictOnly)
     }
 
     #[test]
-    fn stale_window_packets_ignored() {
-        let mut c = small_window();
-        c.accept(T0, &frag(9, 0, 0, 0));
-        assert_eq!(c.missing_critical(), vec![0, 1]);
+    fn parity_recovers_missing_fragment_without_touching_bursts() {
+        let mut w = window();
+        w.accept(&data(0, 0, 0, 1, 0, 0));
+        w.accept(&data(0, 1, 0, 1, 0, 1));
+        w.accept(&data(0, 3, 0, 1, 1, 1));
+        // XOR group over all four frames; frame 2 was lost on the wire.
+        let members = [(0, 0, 1), (1, 0, 1), (2, 0, 1), (3, 0, 1)];
+        assert!(w.accept_parity(&parity(0, 0, 1, 0, &members)));
+        let r = recover(&mut w);
+        assert_eq!(
+            r,
+            FecRecovery {
+                recovered: 1,
+                unrecoverable: 0
+            }
+        );
+        assert!(w.is_complete(2));
+        assert_eq!(recover(&mut w), FecRecovery::default(), "idempotent");
+        assert!(w.missing_critical().is_empty());
+        let out = w.close();
+        assert_eq!(out.pattern.lost(), 0, "recovery repairs playout");
+        // The burst feedback still reflects the raw channel: frame 2's
+        // transmission slot (layer 1, slot 0) was never *received*.
+        assert_eq!(out.per_layer_burst, vec![0, 1]);
     }
 
     #[test]
-    fn finalize_reports_pattern_and_bursts() {
-        let mut c = small_window();
-        // Frame 0 (layer 0 slot 0) and frame 3 (layer 1 slot 1) arrive.
-        c.accept(T0, &frag(0, 0, 0, 0));
-        c.accept(T0, &frag(0, 3, 1, 1));
-        let out = c.finalize(T0);
+    fn double_erasure_needs_two_surviving_parities() {
+        let mut w = window();
+        w.accept(&data(0, 0, 0, 1, 0, 0));
+        w.accept(&data(0, 1, 0, 1, 0, 1));
+        // Frames 2 and 3 lost; a (k=4, m=2) group with one parity in.
+        let members = [(0, 0, 1), (1, 0, 1), (2, 0, 1), (3, 0, 1)];
+        assert!(w.accept_parity(&parity(0, 0, 2, 0, &members)));
+        assert_eq!(recover(&mut w).unrecoverable, 1);
+        // The second parity arrives: two erasures, two parities.
+        assert!(w.accept_parity(&parity(0, 0, 2, 1, &members)));
+        assert_eq!(
+            recover(&mut w),
+            FecRecovery {
+                recovered: 2,
+                unrecoverable: 0
+            }
+        );
+        assert_eq!(w.close().pattern.lost(), 0);
+    }
+
+    #[test]
+    fn beyond_budget_counts_unrecoverable_once_then_retries() {
+        let mut w = window();
+        w.accept(&data(0, 0, 0, 1, 0, 0));
+        w.accept(&data(0, 1, 0, 1, 0, 1));
+        // Both members of an XOR group lost: one parity cannot cover two.
+        assert!(w.accept_parity(&parity(0, 0, 1, 0, &[(2, 0, 1), (3, 0, 1)])));
+        assert_eq!(
+            recover(&mut w),
+            FecRecovery {
+                recovered: 0,
+                unrecoverable: 1
+            }
+        );
+        assert_eq!(recover(&mut w), FecRecovery::default(), "counted once");
+        // A retransmission fills frame 2: the group shrinks into budget
+        // and a later pass recovers frame 3 after all.
+        w.accept(&data(0, 2, 0, 1, 1, 0));
+        assert_eq!(
+            recover(&mut w),
+            FecRecovery {
+                recovered: 1,
+                unrecoverable: 0
+            }
+        );
+        assert!(w.is_complete(3));
+    }
+
+    #[test]
+    fn a_declining_decoder_leaves_the_group_uncounted() {
+        struct Declines;
+        impl ShardDecoder for Declines {
+            fn rebuild(&mut self, _: usize, _: &[bool], _: &[bool]) -> bool {
+                false
+            }
+        }
+        let mut w = window();
+        w.accept(&data(0, 0, 0, 1, 0, 0));
+        assert!(w.accept_parity(&parity(0, 0, 1, 0, &[(0, 0, 1), (1, 0, 1)])));
+        assert_eq!(w.recover_with(&mut Declines), FecRecovery::default());
+        assert!(!w.is_complete(1));
+        // A later pass with a capable decoder still repairs it.
+        assert_eq!(recover(&mut w).recovered, 1);
+    }
+
+    #[test]
+    fn hostile_parity_rejected() {
+        let mut w = window();
+        w.accept(&data(0, 0, 0, 1, 0, 0));
+        w.accept(&data(0, 1, 0, 1, 0, 1));
+        let ok = [(0, 0, 1), (1, 0, 1)];
+        assert!(!w.accept_parity(&parity(1, 0, 1, 0, &ok)), "wrong window");
+        assert!(!w.accept_parity(&parity(0, 0, 1, 1, &ok)), "index >= m");
+        assert!(!w.accept_parity(&parity(0, 0, 1, 0, &[])), "empty group");
+        assert!(
+            !w.accept_parity(&parity(0, 0, 1, 0, &[(9, 0, 1)])),
+            "frame out of range"
+        );
+        assert!(
+            !w.accept_parity(&parity(0, 0, 1, 0, &[(0, 2, 2)])),
+            "frag out of range"
+        );
+        assert!(
+            !w.accept_parity(&parity(0, 0, 1, 0, &[(0, 0, 0)])),
+            "zero fragment count"
+        );
+        // Contradicting an established group's geometry.
+        assert!(w.accept_parity(&parity(0, 5, 2, 0, &ok)));
+        assert!(
+            !w.accept_parity(&parity(0, 5, 2, 1, &[(0, 0, 1), (2, 0, 1)])),
+            "members changed"
+        );
+        assert!(!w.accept_parity(&parity(0, 5, 3, 1, &ok)), "m changed");
+        assert_eq!(recover(&mut w), FecRecovery::default(), "nothing to repair");
+    }
+
+    #[test]
+    fn tracks_completeness_and_bursts() {
+        let mut w = window();
+        assert!(w.accept(&data(0, 0, 0, 1, 0, 0)));
+        assert!(w.accept(&data(0, 3, 0, 1, 1, 1)));
+        assert_eq!(w.missing_critical(), vec![1]);
+        let out = w.close();
         assert_eq!(out.pattern.lost_indices(), vec![1, 2]);
-        // Layer 0 missing slot 1 (run 1); layer 1 missing slot 0 (run 1).
-        assert_eq!(out.feedback.per_layer_burst, vec![1, 1]);
-        assert_eq!(out.fec_recovered, 0);
+        assert_eq!(out.per_layer_burst, vec![1, 1]);
+        assert_eq!(out.feedback().per_layer_burst, vec![1, 1]);
     }
 
     #[test]
     fn burst_runs_counted_in_slot_domain() {
-        let mut c = ClientWindow::new(0, &[Ldu::new(100); 6], &[6], vec![], 2048);
-        // Slots 1,2,3 missing → burst 3; slot 5 missing → run 1.
+        // One 6-slot layer: slots 1, 2, 3 missing is a run of 3 (the
+        // ACK's value), slot 5 missing a run of 1.
+        let mut w = ClientWindow::new(0, 6, &[6], &[]);
         for (frame, slot) in [(0usize, 0u16), (4, 4)] {
-            c.accept(T0, &frag(0, frame, 0, slot));
+            assert!(w.accept(&data(0, frame, 0, 1, 0, slot)));
         }
-        let out = c.finalize(T0);
-        assert_eq!(out.feedback.per_layer_burst, vec![3]);
+        let out = w.close();
+        assert_eq!(out.per_layer_burst, vec![3]);
+        assert_eq!(out.pattern.lost_indices(), vec![1, 2, 3, 5]);
     }
 
     #[test]
-    fn multi_fragment_frames_complete_only_when_all_arrive() {
-        let ldus = [Ldu::new(5000)]; // 3 fragments at 2048
-        let mut c = ClientWindow::new(0, &ldus, &[1], vec![0], 2048);
-        for fr in 0..2u16 {
-            c.accept(
-                T0,
-                &DataPayload::Fragment(Fragment {
-                    window: 0,
-                    frame: 0,
-                    frag: fr,
-                    frags_total: 3,
-                    layer: 0,
-                    layer_slot: 0,
-                    retransmit: false,
-                }),
-            );
-        }
-        assert_eq!(c.missing_critical(), vec![0]);
-        c.accept(
-            T0,
-            &DataPayload::Fragment(Fragment {
-                window: 0,
-                frame: 0,
-                frag: 2,
-                frags_total: 3,
-                layer: 0,
-                layer_slot: 0,
-                retransmit: false,
-            }),
-        );
-        assert!(c.missing_critical().is_empty());
-        let out = c.finalize(T0);
-        assert_eq!(out.pattern.lost(), 0);
+    fn multi_fragment_frames_need_every_fragment() {
+        let mut w = ClientWindow::new(0, 1, &[1], &[0]);
+        assert!(w.accept(&data(0, 0, 0, 3, 0, 0)));
+        assert!(w.accept(&data(0, 0, 2, 3, 0, 0)));
+        assert!(!w.is_complete(0));
+        assert_eq!(w.missing_critical(), vec![0]);
+        assert!(w.accept(&data(0, 0, 1, 3, 0, 0)));
+        assert!(w.is_complete(0));
     }
 
     #[test]
-    fn fec_parity_repairs_single_loss() {
-        let mut c = ClientWindow::new(0, &[Ldu::new(100); 2], &[2], vec![], 2048);
-        c.accept(T0, &frag(0, 0, 0, 0));
-        c.accept(
-            T0,
-            &DataPayload::Parity(ParityPacket {
-                window: 0,
-                group: 0,
-                members: vec![
-                    FragmentKey { frame: 0, frag: 0 },
-                    FragmentKey { frame: 1, frag: 0 },
-                ],
-                size_bytes: 100,
-            }),
-        );
-        let out = c.finalize(T0);
-        assert_eq!(out.fec_recovered, 1);
-        assert_eq!(out.pattern.lost(), 0);
+    fn rejects_labels_outside_the_session() {
+        let mut w = window();
+        assert!(!w.accept(&data(1, 0, 0, 1, 0, 0)), "wrong window");
+        assert!(!w.accept(&data(0, 9, 0, 1, 0, 0)), "frame out of range");
+        assert!(!w.accept(&data(0, 0, 0, 1, 7, 0)), "layer out of range");
+        assert!(!w.accept(&data(0, 0, 0, 1, 0, 9)), "slot out of range");
+        // Fragment-count mismatch against what frame 0 first declared.
+        assert!(w.accept(&data(0, 0, 0, 2, 0, 0)));
+        assert!(!w.accept(&data(0, 0, 0, 5, 0, 0)), "frags_total changed");
+        let out = w.close();
+        assert_eq!(out.pattern.lost_indices(), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn empty_window_is_all_lost_with_full_layer_bursts() {
+        let out = window().close();
+        assert_eq!(out.pattern.lost(), 4);
+        assert_eq!(out.per_layer_burst, vec![2, 2]);
+    }
+
+    #[test]
+    fn hostile_critical_indices_never_panic() {
+        // A hostile Accept can name critical frames past the window: they
+        // must read as permanently missing, not index out of bounds.
+        let w = ClientWindow::new(0, 4, &[2, 2], &[0, 9000]);
+        assert!(!w.is_complete(9000));
+        assert_eq!(w.missing_critical(), vec![0, 9000]);
+    }
+
+    #[test]
+    fn reset_reuse_matches_a_fresh_window() {
+        // Lap 0 dirties every pool (frames, layer rows, parity groups);
+        // lap 1 after reset must behave exactly like a fresh tracker.
+        let mut reused = window();
+        reused.accept(&data(0, 0, 0, 2, 0, 0));
+        reused.accept(&data(0, 2, 0, 1, 1, 0));
+        assert!(reused.accept_parity(&parity(0, 0, 1, 0, &[(1, 0, 1), (3, 0, 1)])));
+        recover(&mut reused);
+        reused.reset(1, 4, &[2, 2], &[0, 1]);
+
+        let mut fresh = ClientWindow::new(1, 4, &[2, 2], &[0, 1]);
+        for w in [&mut reused, &mut fresh] {
+            assert!(w.accept(&data(1, 0, 0, 1, 0, 0)));
+            assert!(w.accept(&data(1, 1, 0, 1, 0, 1)));
+            assert!(w.accept_parity(&parity(1, 0, 1, 0, &[(2, 0, 1), (3, 0, 1)])));
+        }
+        assert_eq!(recover(&mut reused), recover(&mut fresh));
+        assert_eq!(reused.missing_critical(), fresh.missing_critical());
+        let mut out = WindowOutcome::default();
+        reused.close_into(&mut out);
+        assert_eq!(out, fresh.close());
+    }
+
+    #[test]
+    fn reset_changes_session_shape_cleanly() {
+        let mut w = window();
+        w.accept(&data(0, 0, 0, 1, 0, 0));
+        // Shrink to a different shape entirely.
+        w.reset(5, 2, &[1, 1, 1], &[1]);
+        assert_eq!(w.window(), 5);
+        assert!(!w.is_complete(0), "no carry-over from the old window");
+        assert_eq!(w.missing_critical(), vec![1]);
+        assert!(w.accept(&data(5, 1, 0, 1, 2, 0)));
+        let out = w.close();
+        assert_eq!(out.pattern.lost_indices(), vec![0]);
+        assert_eq!(out.per_layer_burst, vec![1, 1, 0]);
+    }
+
+    #[test]
+    fn duplicates_idempotent() {
+        let mut w = window();
+        assert!(w.accept(&data(0, 2, 0, 1, 1, 0)));
+        assert!(w.accept(&data(0, 2, 0, 1, 1, 0)));
+        assert!(w.is_complete(2));
     }
 }

@@ -243,6 +243,27 @@ impl ProtocolConfig {
     }
 }
 
+/// Checks a session shape against the `u16` labels the client window
+/// and the UDP wire carry: a frame index (so the window length) and a
+/// fragment's payload length must each fit in 16 bits. Both transports
+/// refuse what these labels cannot express.
+///
+/// # Errors
+///
+/// Names the first limit exceeded.
+pub fn check_wire_limits(frames_per_window: usize, packet_bytes: u32) -> Result<(), String> {
+    if frames_per_window > usize::from(u16::MAX) {
+        return Err(format!(
+            "window of {frames_per_window} frames exceeds the wire's {} maximum",
+            u16::MAX
+        ));
+    }
+    if packet_bytes > u32::from(u16::MAX) {
+        return Err("packet size exceeds the wire's 64 KiB payload field".into());
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

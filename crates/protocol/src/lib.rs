@@ -8,7 +8,9 @@
 //! adaptively estimated burst bounds), a **client** that un-permutes,
 //! measures per-layer loss bursts, and feeds them back in
 //! sequence-numbered ACKs, and the orthogonal recovery schemes
-//! (retransmission of critical frames, XOR FEC) of Fig. 4.
+//! (retransmission of critical frames, XOR FEC) of Fig. 4. The client
+//! window ([`ClientWindow`]) is the one the UDP transport in
+//! `espread-net` drives too.
 //!
 //! # Example
 //!
@@ -44,7 +46,6 @@
 
 pub mod client;
 pub mod config;
-pub mod fec;
 pub mod feedback;
 pub mod layers;
 pub mod mux;
@@ -56,8 +57,11 @@ pub mod source;
 mod telem;
 pub mod timing;
 
-pub use client::{ClientWindow, DataPayload, WindowOutcome};
-pub use config::{LossModel, Ordering, ProtocolConfig, Recovery};
+pub use client::{
+    ClientWindow, DataMsg, DataPayload, FecRecovery, ParityMember, ParityMsg, ShardDecoder,
+    VerdictOnly, WindowOutcome,
+};
+pub use config::{check_wire_limits, LossModel, Ordering, ProtocolConfig, Recovery};
 pub use feedback::{AckTracker, FeedbackMsg, WindowFeedback};
 pub use layers::{LayerInfo, ScheduledFrame, WindowPlan};
 pub use mux::{aligned_av_sources, MuxReport, MuxSession, StreamId};
@@ -65,7 +69,7 @@ pub use negotiation::{
     negotiate, AgreedSession, ClientCapabilities, FecPolicy, FecScope, NegotiationError,
     SessionOffer,
 };
-pub use packetize::{Fragment, InvalidLduSize, Ldu, Reassembly};
+pub use packetize::{Fragment, InvalidLduSize, Ldu, ParityGrouper};
 pub use server::{AdaptationRecord, Server};
 pub use session::{Session, SessionReport};
 pub use source::StreamSource;

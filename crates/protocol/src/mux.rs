@@ -16,11 +16,12 @@
 use espread_netsim::{DuplexChannel, GilbertModel, Link, SimDuration, SimTime};
 use espread_qos::{ContinuityMetrics, WindowSeries};
 
-use crate::client::{ClientWindow, DataPayload};
-use crate::config::{ProtocolConfig, Recovery};
+use crate::client::{DataMsg, DataPayload};
+use crate::config::{check_wire_limits, ProtocolConfig, Recovery};
 use crate::feedback::FeedbackMsg;
 use crate::layers::WindowPlan;
 use crate::server::Server;
+use crate::session::SimClient;
 use crate::source::StreamSource;
 
 /// Which stream a mux packet belongs to.
@@ -59,11 +60,15 @@ impl MuxSession {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid, uses a recovery scheme
+    /// Panics if the configuration is invalid, either stream exceeds
+    /// [`check_wire_limits`], the configuration uses a recovery scheme
     /// (unsupported in the mux), the cycle durations differ, or the window
     /// counts differ.
     pub fn new(config: ProtocolConfig, audio: StreamSource, video: StreamSource) -> Self {
-        if let Err(e) = config.validate() {
+        if let Err(e) = config.validate().and_then(|()| {
+            check_wire_limits(audio.frames_per_window(), config.packet_bytes)?;
+            check_wire_limits(video.frames_per_window(), config.packet_bytes)
+        }) {
             panic!("invalid protocol configuration: {e}");
         }
         assert!(
@@ -114,6 +119,8 @@ impl MuxSession {
 
         let mut audio_series = WindowSeries::new();
         let mut video_series = WindowSeries::new();
+        let mut audio_client = SimClient::new();
+        let mut video_client = SimClient::new();
 
         for w in 0..self.video.window_count() {
             let window_start =
@@ -137,20 +144,8 @@ impl MuxSession {
             let audio_ldus = &self.audio.windows[w];
             let video_ldus = &self.video.windows[w];
 
-            let mut audio_client = ClientWindow::new(
-                w as u64,
-                audio_ldus,
-                audio_plan.layer_sizes(),
-                audio_plan.critical_frames().collect(),
-                cfg.packet_bytes,
-            );
-            let mut video_client = ClientWindow::new(
-                w as u64,
-                video_ldus,
-                video_plan.layer_sizes(),
-                video_plan.critical_frames().collect(),
-                cfg.packet_bytes,
-            );
+            audio_client.open(w as u64, audio_ldus.len(), &audio_plan);
+            video_client.open(w as u64, video_ldus.len(), &video_plan);
 
             // Audio first (tighter perceptual budget), then video.
             let mut send_plan = |stream: StreamId, plan: &WindowPlan, ldus: &[crate::Ldu]| {
@@ -163,21 +158,24 @@ impl MuxSession {
                     }
                     for frag in 0..frags {
                         let payload = ldu.fragment_size(cfg.packet_bytes, frag);
+                        let msg = DataMsg {
+                            fragment: crate::Fragment {
+                                window: w as u64,
+                                frame: sf.frame,
+                                frag,
+                                frags_total: frags,
+                                layer: sf.layer,
+                                layer_slot: sf.layer_slot,
+                                retransmit: false,
+                            },
+                            ldu,
+                            // `new` checked the wire limits.
+                            payload_len: payload as u16,
+                        };
                         channel.send_data(
                             window_start,
                             payload + cfg.header_bytes,
-                            (
-                                stream,
-                                DataPayload::Fragment(crate::Fragment {
-                                    window: w as u64,
-                                    frame: sf.frame,
-                                    frag,
-                                    frags_total: frags,
-                                    layer: sf.layer,
-                                    layer_slot: sf.layer_slot,
-                                    retransmit: false,
-                                }),
-                            ),
+                            (stream, DataPayload::Data(msg)),
                         );
                     }
                 }
@@ -188,13 +186,13 @@ impl MuxSession {
             for d in channel.poll_data(deadline) {
                 let (stream, payload) = d.packet.payload;
                 match stream {
-                    StreamId::Audio => audio_client.accept(d.arrived_at, &payload),
-                    StreamId::Video => video_client.accept(d.arrived_at, &payload),
+                    StreamId::Audio => audio_client.deliver(d.arrived_at, &payload),
+                    StreamId::Video => video_client.deliver(d.arrived_at, &payload),
                 }
             }
 
-            let audio_outcome = audio_client.finalize(deadline);
-            let video_outcome = video_client.finalize(deadline);
+            let (audio_outcome, _) = audio_client.close(deadline);
+            let (video_outcome, _) = video_client.close(deadline);
             audio_series.push(ContinuityMetrics::of(&audio_outcome.pattern));
             video_series.push(ContinuityMetrics::of(&video_outcome.pattern));
             channel.send_ack(
@@ -202,7 +200,7 @@ impl MuxSession {
                 64,
                 (
                     StreamId::Audio,
-                    FeedbackMsg::WindowAck(audio_outcome.feedback),
+                    FeedbackMsg::WindowAck(audio_outcome.feedback()),
                 ),
             );
             channel.send_ack(
@@ -210,7 +208,7 @@ impl MuxSession {
                 64,
                 (
                     StreamId::Video,
-                    FeedbackMsg::WindowAck(video_outcome.feedback),
+                    FeedbackMsg::WindowAck(video_outcome.feedback()),
                 ),
             );
         }

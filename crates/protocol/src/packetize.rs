@@ -1,12 +1,15 @@
-//! Fragmenting LDUs into wire packets and reassembling them.
+//! Fragmenting LDUs into wire packets and grouping them for parity.
 //!
 //! "Frames are broken up into packets of size packetSize = 2 Kbytes"
 //! (§5.1). An LDU smaller than the packet size travels in one packet; a
 //! larger one is split into `⌈size / packet_bytes⌉` fragments. An LDU is
 //! **received** only when every one of its fragments arrived (a partially
-//! received frame cannot be decoded).
+//! received frame cannot be decoded); the client's
+//! [`ClientWindow`](crate::client::ClientWindow) tracks that.
 
 use std::fmt;
+
+use crate::client::{ParityMember, ParityMsg};
 
 /// An LDU as the protocol sees it: a playout position and a size. Frame
 /// *types* never reach the transport — criticality is carried by the
@@ -127,68 +130,86 @@ impl fmt::Display for Fragment {
     }
 }
 
-/// Reassembly state of one window's LDUs.
+/// Groups a window's in-scope first transmissions into erasure-coding
+/// groups — the one grouping rule both transports share.
 ///
-/// # Example
-///
-/// ```
-/// use espread_protocol::packetize::{Fragment, Ldu, Reassembly};
-///
-/// let ldus = vec![Ldu::new(3000), Ldu::new(500)];
-/// let mut r = Reassembly::new(&ldus, 2048);
-/// assert!(!r.is_complete(0));
-/// r.accept(&Fragment { window: 0, frame: 0, frag: 0, frags_total: 2,
-///                      layer: 0, layer_slot: 0, retransmit: false });
-/// assert!(!r.is_complete(0)); // one of two fragments
-/// r.accept(&Fragment { window: 0, frame: 0, frag: 1, frags_total: 2,
-///                      layer: 0, layer_slot: 0, retransmit: false });
-/// assert!(r.is_complete(0));
-/// assert!(!r.is_complete(1));
-/// ```
+/// Members join in transmission order; a group closes at `k` members
+/// with `shard_bytes` = its largest member payload, and
+/// [`ParityGrouper::flush`] closes a partial tail group at window end.
+/// Groups form over **transmission order** so the fragments a loss
+/// burst hits are spread over many groups instead of exhausting one.
+/// Retransmissions never join a group (the client already counted the
+/// loss, and parity over a recovery round would shift the groups), so
+/// groups never overlap.
 #[derive(Debug, Clone)]
-pub struct Reassembly {
-    /// Per frame: bitmask-ish vector of received fragments.
-    received: Vec<Vec<bool>>,
+pub struct ParityGrouper {
+    k: usize,
+    /// The open group, as the message its parity will travel in
+    /// (`parity_index` 0; the sender stamps each shard's index).
+    open: ParityMsg,
 }
 
-impl Reassembly {
-    /// Prepares reassembly for a window of LDUs at the given packet size.
-    pub fn new(ldus: &[Ldu], packet_bytes: u32) -> Self {
-        Reassembly {
-            received: ldus
-                .iter()
-                .map(|l| vec![false; usize::from(l.fragment_count(packet_bytes))])
-                .collect(),
-        }
-    }
-
-    /// Records an arrived fragment (duplicates are idempotent).
+impl ParityGrouper {
+    /// A grouper closing groups at `k` members, each protected by `m`
+    /// parity shards.
     ///
     /// # Panics
     ///
-    /// Panics if the fragment references an unknown frame or fragment
-    /// index.
-    pub fn accept(&mut self, fragment: &Fragment) {
-        self.received[fragment.frame][usize::from(fragment.frag)] = true;
+    /// Panics if `k` or `m` is zero.
+    pub fn new(k: usize, m: u8) -> Self {
+        assert!(k > 0 && m > 0, "FEC group size must be positive");
+        ParityGrouper {
+            k,
+            open: ParityMsg {
+                window: 0,
+                group: 0,
+                m,
+                parity_index: 0,
+                shard_bytes: 0,
+                members: Vec::with_capacity(k),
+            },
+        }
     }
 
-    /// Whether every fragment of frame `frame` has arrived.
-    pub fn is_complete(&self, frame: usize) -> bool {
-        self.received[frame].iter().all(|&r| r)
+    /// Starts window `window`: group ids restart at 0 and any open group
+    /// is discarded.
+    pub fn reset(&mut self, window: u64) {
+        self.open.window = window;
+        self.open.group = 0;
+        self.open.shard_bytes = 0;
+        self.open.members.clear();
     }
 
-    /// Per-frame completeness for the whole window (`true` = decodable).
-    pub fn completeness(&self) -> Vec<bool> {
-        (0..self.received.len())
-            .map(|f| self.is_complete(f))
-            .collect()
+    /// Adds a first transmission of `payload_len` bytes; returns the
+    /// group's parity message when the group fills to `k` members.
+    pub fn push(&mut self, member: ParityMember, payload_len: u16) -> Option<ParityMsg> {
+        self.open.members.push(member);
+        self.open.shard_bytes = self.open.shard_bytes.max(payload_len);
+        (self.open.members.len() == self.k).then(|| self.close())
     }
 
-    /// Indices of frames still missing at least one fragment.
-    pub fn missing_frames(&self) -> Vec<usize> {
-        (0..self.received.len())
-            .filter(|&f| !self.is_complete(f))
-            .collect()
+    /// Closes the partial tail group, if any members are pending.
+    pub fn flush(&mut self) -> Option<ParityMsg> {
+        (!self.open.members.is_empty()).then(|| self.close())
+    }
+
+    /// Hands back a sent group's member buffer, so a steady-state sender
+    /// allocates no member list per group.
+    pub fn recycle(&mut self, msg: ParityMsg) {
+        if self.open.members.is_empty() {
+            self.open.members = msg.members;
+            self.open.members.clear();
+        }
+    }
+
+    fn close(&mut self) -> ParityMsg {
+        let msg = ParityMsg {
+            members: std::mem::take(&mut self.open.members),
+            ..self.open
+        };
+        self.open.group += 1;
+        self.open.shard_bytes = 0;
+        msg
     }
 }
 
@@ -234,43 +255,58 @@ mod tests {
         let _ = Ldu::new(100).fragment_size(2048, 1);
     }
 
-    #[test]
-    fn reassembly_tracks_completeness() {
-        let ldus = vec![Ldu::new(5000), Ldu::new(100)];
-        let mut r = Reassembly::new(&ldus, 2048);
-        assert_eq!(r.missing_frames(), vec![0, 1]);
-        for frag in 0..3 {
-            r.accept(&Fragment {
-                window: 0,
-                frame: 0,
-                frag,
-                frags_total: 3,
-                layer: 0,
-                layer_slot: 0,
-                retransmit: false,
-            });
+    fn member(frame: u16) -> ParityMember {
+        ParityMember {
+            frame,
+            frag: 0,
+            frags_total: 1,
         }
-        assert!(r.is_complete(0));
-        assert_eq!(r.missing_frames(), vec![1]);
-        assert_eq!(r.completeness(), vec![true, false]);
     }
 
     #[test]
-    fn duplicate_fragments_idempotent() {
-        let ldus = vec![Ldu::new(100)];
-        let mut r = Reassembly::new(&ldus, 2048);
-        let f = Fragment {
-            window: 0,
-            frame: 0,
-            frag: 0,
-            frags_total: 1,
-            layer: 0,
-            layer_slot: 0,
-            retransmit: true,
-        };
-        r.accept(&f);
-        r.accept(&f);
-        assert!(r.is_complete(0));
+    fn encoder_groups_and_flushes() {
+        let mut groups = ParityGrouper::new(3, 1);
+        groups.reset(7);
+        assert!(groups.push(member(0), 100).is_none());
+        assert!(groups.push(member(1), 300).is_none());
+        let p = groups.push(member(2), 200).unwrap();
+        assert_eq!((p.window, p.group, p.m), (7, 0, 1));
+        assert_eq!(p.members, vec![member(0), member(1), member(2)]);
+        assert_eq!(p.shard_bytes, 300);
+
+        assert!(groups.push(member(3), 50).is_none());
+        let tail = groups.flush().unwrap();
+        assert_eq!(tail.group, 1);
+        assert_eq!(tail.members, vec![member(3)]);
+        assert_eq!(tail.shard_bytes, 50);
+        assert!(groups.flush().is_none());
+
+        // A new window restarts the group ids and drops a stale open group.
+        assert!(groups.push(member(9), 10).is_none());
+        groups.reset(8);
+        assert!(groups.flush().is_none());
+        assert!(groups.push(member(0), 10).is_none());
+        assert_eq!(groups.flush().unwrap().group, 0);
+    }
+
+    #[test]
+    fn recycled_member_buffers_are_reused() {
+        let mut groups = ParityGrouper::new(2, 2);
+        groups.reset(0);
+        assert!(groups.push(member(0), 10).is_none());
+        let p = groups.push(member(1), 10).unwrap();
+        let buffer = p.members.as_ptr();
+        groups.recycle(p);
+        assert!(groups.push(member(2), 10).is_none());
+        let p = groups.push(member(3), 10).unwrap();
+        assert_eq!(p.members.as_ptr(), buffer);
+        assert_eq!((p.group, p.m), (1, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "group size must be positive")]
+    fn zero_group_rejected() {
+        let _ = ParityGrouper::new(0, 1);
     }
 
     #[test]

@@ -17,6 +17,10 @@
 //!    loss pattern and its [`ContinuityMetrics`], and ACKs per-layer burst
 //!    observations (sequence-numbered; out-of-order ACKs are ignored).
 //!
+//! The receive side is the transport-neutral [`ClientWindow`] the UDP
+//! client drives too; the simulator carries no payload bytes, so it
+//! repairs with [`VerdictOnly`].
+//!
 //! Both directions ride lossy links; the same seed reproduces the same
 //! loss realisation, so schemes can be compared on identical channels.
 
@@ -25,12 +29,11 @@ use espread_netsim::{
 };
 use espread_qos::{ContinuityMetrics, LossPattern, WindowSeries, WindowSummary};
 
-use crate::client::{ClientWindow, DataPayload};
-use crate::config::{LossModel, ProtocolConfig, Recovery};
-use crate::fec::FecEncoder;
+use crate::client::{ClientWindow, DataMsg, DataPayload, ParityMember, VerdictOnly, WindowOutcome};
+use crate::config::{check_wire_limits, LossModel, ProtocolConfig, Recovery};
 use crate::feedback::FeedbackMsg;
-use crate::layers::ScheduledFrame;
-use crate::packetize::Fragment;
+use crate::layers::{ScheduledFrame, WindowPlan};
+use crate::packetize::{Fragment, ParityGrouper};
 use crate::server::Server;
 use crate::source::StreamSource;
 use crate::timing::{TimingAccumulator, TimingStats};
@@ -108,9 +111,13 @@ impl Session {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration fails [`ProtocolConfig::validate`].
+    /// Panics if the configuration fails [`ProtocolConfig::validate`] or
+    /// the session shape exceeds [`check_wire_limits`].
     pub fn new(config: ProtocolConfig, source: StreamSource) -> Self {
-        if let Err(e) = config.validate() {
+        if let Err(e) = config
+            .validate()
+            .and_then(|()| check_wire_limits(source.frames_per_window(), config.packet_bytes))
+        {
             panic!("invalid protocol configuration: {e}");
         }
         Session {
@@ -167,6 +174,14 @@ impl Session {
         let frame_duration = SimDuration::from_micros(1_000_000 / u64::from(cfg.fps));
         let mut critical_lost = 0u64;
         let mut critical_total = 0u64;
+        let mut client = SimClient::new();
+        let mut parity = match cfg.recovery {
+            Recovery::Fec { group } | Recovery::FecCritical { group } => {
+                Some(ParityGrouper::new(usize::from(group), 1))
+            }
+            _ => None,
+        };
+        let fec_critical_only = matches!(cfg.recovery, Recovery::FecCritical { .. });
 
         for (w, ldus) in self.source.windows.iter().enumerate() {
             let w = w as u64;
@@ -201,19 +216,10 @@ impl Session {
             }
             estimate_history.push(server.raw_estimates());
 
-            let mut client = ClientWindow::new(
-                w,
-                ldus,
-                plan.layer_sizes(),
-                plan.critical_frames().collect(),
-                cfg.packet_bytes,
-            );
-
-            let (mut fec, fec_critical_only) = match cfg.recovery {
-                Recovery::Fec { group } => (Some(FecEncoder::new(w, group)), false),
-                Recovery::FecCritical { group } => (Some(FecEncoder::new(w, group)), true),
-                _ => (None, false),
-            };
+            client.open(w, ldus.len(), &plan);
+            if let Some(groups) = parity.as_mut() {
+                groups.reset(w);
+            }
 
             // Sends every fragment of one scheduled frame; returns false
             // (and counts a drop) when the frame cannot depart in time.
@@ -238,26 +244,37 @@ impl Session {
                 }
                 for frag in 0..frags {
                     let payload_bytes = ldu.fragment_size(cfg.packet_bytes, frag);
-                    let fragment = Fragment {
-                        window: w,
-                        frame: sf.frame,
-                        frag,
-                        frags_total: frags,
-                        layer: sf.layer,
-                        layer_slot: sf.layer_slot,
-                        retransmit,
-                    };
+                    // `Session::new` checked the wire limits: frame
+                    // indices and payload lengths fit their u16 labels.
+                    let payload_len = payload_bytes as u16;
                     channel.send_data(
                         offer_at,
                         payload_bytes + cfg.header_bytes,
-                        DataPayload::Fragment(fragment),
+                        DataPayload::Data(DataMsg {
+                            fragment: Fragment {
+                                window: w,
+                                frame: sf.frame,
+                                frag,
+                                frags_total: frags,
+                                layer: sf.layer,
+                                layer_slot: sf.layer_slot,
+                                retransmit,
+                            },
+                            ldu,
+                            payload_len,
+                        }),
                     );
-                    if let Some(enc) = fec.as_mut().filter(|_| fec_protect) {
-                        if let Some(parity) = enc.push(&fragment, payload_bytes) {
+                    if let Some(groups) = parity.as_mut().filter(|_| fec_protect) {
+                        let member = ParityMember {
+                            frame: sf.frame as u16,
+                            frag,
+                            frags_total: frags,
+                        };
+                        if let Some(p) = groups.push(member, payload_len) {
                             channel.send_data(
                                 offer_at,
-                                parity.size_bytes + cfg.header_bytes,
-                                DataPayload::Parity(parity),
+                                u32::from(p.shard_bytes) + cfg.header_bytes,
+                                DataPayload::Parity(p),
                             );
                         }
                     }
@@ -283,7 +300,7 @@ impl Session {
 
             // Deliver the critical phase to the client.
             for d in channel.poll_data(client_sees_critical) {
-                client.accept(d.arrived_at, &d.packet.payload);
+                client.deliver(d.arrived_at, &d.packet.payload);
             }
 
             // 3. Retransmission round (reactive recovery).
@@ -351,19 +368,11 @@ impl Session {
                     &mut dropped_frames,
                 );
             }
-            if let Some(mut enc) = fec.take() {
-                if let Some(parity) = enc.flush() {
-                    // Best effort: the trailing parity ships if it fits.
-                    if channel
-                        .earliest_data_departure(resume_at, parity.size_bytes + cfg.header_bytes)
-                        <= window_end
-                    {
-                        channel.send_data(
-                            resume_at,
-                            parity.size_bytes + cfg.header_bytes,
-                            DataPayload::Parity(parity),
-                        );
-                    }
+            if let Some(p) = parity.as_mut().and_then(ParityGrouper::flush) {
+                // Best effort: the trailing parity ships if it fits.
+                let wire = u32::from(p.shard_bytes) + cfg.header_bytes;
+                if channel.earliest_data_departure(resume_at, wire) <= window_end {
+                    channel.send_data(resume_at, wire, DataPayload::Parity(p));
                 }
             }
             drop(send_span);
@@ -371,11 +380,11 @@ impl Session {
             // 5. Window close: deliver everything sent this cycle.
             let deadline = window_end + prop;
             for d in channel.poll_data(deadline) {
-                client.accept(d.arrived_at, &d.packet.payload);
+                client.deliver(d.arrived_at, &d.packet.payload);
             }
-            let outcome = client.finalize(deadline);
-            fec_recovered += outcome.fec_recovered as u64;
-            timing.record_window(window_start, cycle, frame_duration, &outcome.completions);
+            let (outcome, repaired) = client.close(deadline);
+            fec_recovered += repaired as u64;
+            timing.record_window(window_start, cycle, frame_duration, client.completions());
             for f in plan.critical_frames() {
                 critical_total += 1;
                 critical_lost += u64::from(outcome.pattern.is_lost(f));
@@ -384,12 +393,12 @@ impl Session {
             self.telem
                 .window_metrics(w, metrics.lost(), metrics.window_len(), metrics.clf());
             series.push(metrics);
-            patterns.push(outcome.pattern.clone());
             channel.send_ack(
                 deadline,
                 FEEDBACK_BYTES,
-                FeedbackMsg::WindowAck(outcome.feedback),
+                FeedbackMsg::WindowAck(outcome.feedback()),
             );
+            patterns.push(outcome.pattern);
         }
 
         let fstats = channel.forward().stats();
@@ -407,6 +416,89 @@ impl Session {
             critical_lost,
             critical_total,
         }
+    }
+}
+
+/// The simulator's receive side: one [`ClientWindow`], reset for every
+/// window, plus the per-frame completion times [`TimingAccumulator`]
+/// reads — the window itself owns no clock.
+#[derive(Debug)]
+pub(crate) struct SimClient {
+    window: ClientWindow,
+    /// When each frame of the open window finished reassembly.
+    completions: Vec<Option<SimTime>>,
+    layer_sizes: Vec<u16>,
+    critical: Vec<u16>,
+}
+
+impl SimClient {
+    pub(crate) fn new() -> Self {
+        SimClient {
+            window: ClientWindow::new(0, 0, &[], &[]),
+            completions: Vec::new(),
+            layer_sizes: Vec::new(),
+            critical: Vec::new(),
+        }
+    }
+
+    /// Re-arms the window for window `w` of `frames` frames, with the
+    /// layers and critical frames of `plan`.
+    pub(crate) fn open(&mut self, w: u64, frames: usize, plan: &WindowPlan) {
+        // The sessions checked the wire limits: layer sizes and frame
+        // indices are bounded by a window length that fits in u16.
+        self.layer_sizes.clear();
+        self.layer_sizes
+            .extend(plan.layer_sizes().iter().map(|&n| n as u16));
+        self.critical.clear();
+        self.critical
+            .extend(plan.critical_frames().map(|f| f as u16));
+        self.window
+            .reset(w, frames, &self.layer_sizes, &self.critical);
+        self.completions.clear();
+        self.completions.resize(frames, None);
+    }
+
+    /// Delivers one data-path packet that arrived at `at`; a frame's
+    /// completion time is when its last missing fragment lands.
+    pub(crate) fn deliver(&mut self, at: SimTime, payload: &DataPayload) {
+        match payload {
+            DataPayload::Data(d) => {
+                let f = d.fragment.frame;
+                if self.window.accept(d)
+                    && self.completions[f].is_none()
+                    && self.window.is_complete(f)
+                {
+                    self.completions[f] = Some(at);
+                }
+            }
+            DataPayload::Parity(p) => {
+                self.window.accept_parity(p);
+            }
+        }
+    }
+
+    /// Critical frames still missing a fragment (the NACK body).
+    fn missing_critical(&self) -> Vec<usize> {
+        let missing = self.window.missing_critical();
+        missing.into_iter().map(usize::from).collect()
+    }
+
+    /// Closes the window at `at`: repairs what parity covers (frames
+    /// completed only by that repair are stamped `at`) and returns the
+    /// outcome with the number of repaired fragments.
+    pub(crate) fn close(&mut self, at: SimTime) -> (WindowOutcome, usize) {
+        let repaired = self.window.recover_with(&mut VerdictOnly).recovered;
+        for (f, done) in self.completions.iter_mut().enumerate() {
+            if done.is_none() && self.window.is_complete(f) {
+                *done = Some(at);
+            }
+        }
+        (self.window.close(), repaired)
+    }
+
+    /// Per-frame completion times of the window last opened.
+    pub(crate) fn completions(&self) -> &[Option<SimTime>] {
+        &self.completions
     }
 }
 
@@ -578,6 +670,16 @@ mod tests {
         assert_eq!(report.series.len(), 15);
         // Audio is one antichain layer: estimates history has width 1.
         assert_eq!(report.estimate_history[0].len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "64 KiB")]
+    fn oversized_packets_rejected_like_the_wire() {
+        let cfg = ProtocolConfig {
+            packet_bytes: 100_000,
+            ..ProtocolConfig::paper(0.6, 1)
+        };
+        let _ = Session::new(cfg, mpeg_source(1));
     }
 
     #[test]
