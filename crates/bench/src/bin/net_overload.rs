@@ -53,13 +53,15 @@ const GOPS_PER_WINDOW: usize = 2;
 /// One shard: the shedder only matters when the send loop cannot keep
 /// up, and a single overloaded shard is the cleanest way to stay there.
 const WORKERS: usize = 1;
-/// A pace the shard cannot possibly sustain: the timer wheel ticks at
-/// 1 ms and a session sends at most 64 datagrams per fire, so a window
-/// wider than one batch always falls at least a full tick behind a
-/// 2 us/datagram schedule.
+/// A pace the shard cannot sustain across a wave: a session pumps at
+/// most 64 datagrams per turn and every other due session on the one
+/// shard takes its turn before the next, so each round of pumps puts
+/// every session the others' send time further behind a 2 us/datagram
+/// schedule.
 const PACE: Duration = Duration::from_micros(2);
-/// Debt threshold for shedding enhancement frames — under one wheel
-/// tick, so the forced wait between pump batches is already over it.
+/// Debt threshold for shedding enhancement frames: a few rounds of the
+/// other sessions' 64-datagram batches, so the contended shard crosses
+/// it within a window while a session pumping alone does not.
 const SHED_LAG: Duration = Duration::from_micros(900);
 /// The server's own honest estimate of when capacity frees up.
 const BUSY_RETRY_AFTER: Duration = Duration::from_millis(150);

@@ -4,8 +4,8 @@
 //! simulated channel, this crate puts the same planner and observation
 //! machinery on the wire: a versioned binary codec ([`wire`]), an
 //! event-loop multi-session server ([`server`]) whose fixed worker pool
-//! drives `poll()`-able session state machines over per-shard timer
-//! wheels ([`wheel`]), demuxing by connection id and
+//! drives `poll()`-able session state machines that own their retry
+//! deadlines, demuxing by connection id and
 //! closing every window with a retried `WindowEnd`/`WindowAck` exchange, a
 //! client ([`client`]) that un-permutes, measures per-layer loss bursts,
 //! and feeds them back in sequence-numbered ACKs, and a fault-injecting
@@ -67,7 +67,6 @@ pub mod server;
 mod session;
 mod shard;
 mod telem;
-pub mod wheel;
 pub mod wire;
 
 pub use client::{NetClient, NetClientConfig, NetClientReport};
@@ -77,5 +76,4 @@ pub use obsrec::SessionRecorder;
 pub use proxy::{FaultPolicy, FaultProxy, ProxyStats};
 pub use retry::RetryPolicy;
 pub use server::{NetServer, NetServerConfig};
-pub use wheel::{Fired, TimerWheel};
 pub use wire::{decode, try_encode, try_encode_into, Msg, WireError};

@@ -6,8 +6,8 @@
 //! reused while live, and routes decoded control datagrams to a fixed
 //! pool of worker event loops (see [`crate::shard`]) over channels —
 //! shard = `conn_id % workers`. Sessions are `poll()`-able state objects
-//! ([`crate::session`]), not threads: each shard drives hundreds of them
-//! through per-shard timer wheels and a reusable encode buffer, and
+//! ([`crate::session`]), not threads: each shard drives hundreds of them,
+//! each keeping its own deadlines, through a reusable encode buffer, and
 //! reaps them from the connection table the moment they finish.
 //! Malformed datagrams are counted and dropped, never trusted.
 

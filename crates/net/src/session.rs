@@ -7,10 +7,16 @@
 //!
 //! * [`SessionCore::on_msg`] — a routed datagram arrived for this
 //!   connection;
-//! * [`SessionCore::on_timer`] — a [`TimerWheel`](crate::wheel) deadline
-//!   fired (ignored when its generation is stale, i.e. cancelled);
+//! * [`SessionCore::on_deadline`] — the clock reached one of the
+//!   session's own timers (the watchdog, then the retry deadline);
 //! * [`SessionCore::on_tick`] — the transmit pump: sends the next paced
 //!   batch of fragments when the session is mid-window.
+//!
+//! The session owns its deadlines: at most one retry deadline (ACK wait,
+//! teardown wait or the `Begin` handshake window) and one watchdog,
+//! each an `Option<Instant>` that arming sets and disarming clears, so
+//! a cancelled timer exists nowhere. [`SessionCore::next_deadline`]
+//! tells the shard when to wake the session next.
 //!
 //! All waiting happens in the shard loop; nothing here blocks, sleeps,
 //! or owns a thread. Deadlines come from the same [`RetryPolicy`]
@@ -30,7 +36,6 @@ use espread_protocol::{
 use crate::obsrec::SessionRecorder;
 use crate::retry::RetryPolicy;
 use crate::telem::ServerTelem;
-use crate::wheel::TimerWheel;
 use crate::wire::{self, ByeReason, DataMsg, Msg, ParityMember, ParityMsg, WindowEnd};
 
 /// Fragments sent per [`SessionCore::on_tick`] when pacing is disabled —
@@ -69,12 +74,11 @@ impl SessionLimits {
 }
 
 /// Everything a session needs from its shard to make progress: the
-/// shared socket, the shard's timer wheel, a reusable encode buffer
-/// (the per-shard "buffer pool" — one allocation serves every send on
-/// the shard), and the loop's current time.
+/// shared socket, a reusable encode buffer (the per-shard "buffer
+/// pool" — one allocation serves every send on the shard), and the
+/// loop's current time.
 pub(crate) struct Ctx<'a> {
     pub now: Instant,
-    pub wheel: &'a mut TimerWheel,
     pub socket: &'a UdpSocket,
     pub scratch: &'a mut Vec<u8>,
 }
@@ -86,6 +90,14 @@ pub(crate) enum Status {
     Active,
     /// The session ended (gracefully or not): remove and reap it.
     Finished,
+}
+
+/// The earlier of two optional instants.
+pub(crate) fn earliest(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
 }
 
 /// Where the session is in its lifecycle.
@@ -143,14 +155,11 @@ pub(crate) struct SessionCore {
     epoch: Instant,
     proto: Server,
     phase: Phase,
-    /// Current retry-timer arm-generation; a wheel entry with any other
-    /// generation is a cancelled timer and must be ignored.
-    timer_gen: u64,
-    /// Arm-generation of the live watchdog timer (0 = none armed).
-    watchdog_gen: u64,
-    /// Allocator for both generations — shared so a retry gen and a
-    /// watchdog gen can never collide on the wheel.
-    gen_seq: u64,
+    /// The live retry deadline (ACK wait, teardown wait or the `Begin`
+    /// window), if one is armed.
+    retry_at: Option<Instant>,
+    /// The live no-progress watchdog deadline, if one is armed.
+    watchdog_at: Option<Instant>,
     window: usize,
     plan: Option<Arc<WindowPlan>>,
     cursor: SendCursor,
@@ -226,9 +235,8 @@ impl SessionCore {
             epoch,
             proto,
             phase: Phase::AwaitBegin,
-            timer_gen: 0,
-            watchdog_gen: 0,
-            gen_seq: 0,
+            retry_at: None,
+            watchdog_at: None,
             window: 0,
             plan: None,
             cursor: SendCursor { slot: 0, frag: 0 },
@@ -256,55 +264,54 @@ impl SessionCore {
         self.conn_id
     }
 
-    /// When the transmit pump next wants a tick; `None` outside the
-    /// sending phase. The shard uses this to size its sleep.
-    pub(crate) fn pending_send_at(&self) -> Option<Instant> {
-        match self.phase {
-            Phase::Sending => Some(self.next_send_at),
-            _ => None,
-        }
+    /// The earliest armed timer (retry or watchdog), if any. The shard
+    /// fires due timers in `(deadline, conn)` order.
+    pub(crate) fn timer_at(&self) -> Option<Instant> {
+        earliest(self.retry_at, self.watchdog_at)
+    }
+
+    /// When the session next needs the shard: its earliest timer or,
+    /// mid-window, the paced send clock. `None` means it waits only for
+    /// datagrams.
+    pub(crate) fn next_deadline(&self) -> Option<Instant> {
+        let send_at = matches!(self.phase, Phase::Sending).then_some(self.next_send_at);
+        earliest(self.timer_at(), send_at)
     }
 
     /// Arms the session's `Begin` deadline (and the progress watchdog,
     /// when configured); called once, right after the shard inserts the
     /// session.
     pub(crate) fn start(&mut self, ctx: &mut Ctx<'_>) {
-        self.arm(ctx, ctx.now + self.retry.total_wait());
-        self.arm_watchdog(ctx);
+        self.arm(ctx.now + self.retry.total_wait());
+        self.arm_watchdog(ctx.now);
     }
 
-    fn next_gen(&mut self) -> u64 {
-        self.gen_seq += 1;
-        self.gen_seq
+    /// Replaces the live retry deadline.
+    fn arm(&mut self, deadline: Instant) {
+        self.retry_at = Some(deadline);
     }
 
-    /// Replaces the live retry timer: the previous arm-generation goes
-    /// stale (cancelled) and a fresh deadline enters the wheel.
-    fn arm(&mut self, ctx: &mut Ctx<'_>, deadline: Instant) {
-        self.timer_gen = self.next_gen();
-        ctx.wheel.schedule(self.conn_id, self.timer_gen, deadline);
-    }
-
-    /// Cancels the live retry timer without arming a new one.
+    /// Cancels the live retry deadline without arming a new one.
     fn disarm(&mut self) {
-        self.timer_gen = self.next_gen();
+        self.retry_at = None;
     }
 
     /// Arms (or re-arms) the no-progress watchdog, snapshotting the
     /// progress counter the eventual fire will be judged against.
-    /// Deadlines are typically many wheel laps out; entries carry their
-    /// absolute tick, so that is safe (see [`TimerWheel`]).
-    fn arm_watchdog(&mut self, ctx: &mut Ctx<'_>) {
+    fn arm_watchdog(&mut self, now: Instant) {
         if self.limits.watchdog.is_zero() {
             return;
         }
         self.progress_mark = self.progress;
-        self.watchdog_gen = self.next_gen();
-        ctx.wheel.schedule(
-            self.conn_id,
-            self.watchdog_gen,
-            ctx.now + self.limits.watchdog,
-        );
+        self.watchdog_at = Some(now + self.limits.watchdog);
+    }
+
+    /// Terminal transition: no timer outlives the session.
+    fn finish(&mut self) -> Status {
+        self.retry_at = None;
+        self.watchdog_at = None;
+        self.phase = Phase::Done;
+        Status::Finished
     }
 
     /// The watchdog fired: terminate if nothing moved since it was
@@ -314,7 +321,7 @@ impl SessionCore {
             return Status::Active;
         }
         if self.progress != self.progress_mark {
-            self.arm_watchdog(ctx);
+            self.arm_watchdog(ctx.now);
             return Status::Active;
         }
         // A whole watchdog period with no datagram in either direction:
@@ -322,9 +329,7 @@ impl SessionCore {
         // end in a typed outcome so the shard reaps the session.
         self.telem.on_watchdog_termination();
         self.send(ctx, &Msg::Bye(ByeReason::Aborted));
-        self.disarm();
-        self.phase = Phase::Done;
-        Status::Finished
+        self.finish()
     }
 
     fn elapsed_us(&self, now: Instant) -> u64 {
@@ -560,8 +565,7 @@ impl SessionCore {
                 self.send(ctx, &end);
                 self.closed_at = ctx.now;
                 self.phase = Phase::AwaitAck { attempt: 0 };
-                let backoff = self.retry.backoff(0);
-                self.arm(ctx, ctx.now + backoff);
+                self.arm(ctx.now + self.retry.backoff(0));
                 return Status::Active;
             }
             let frame = plan.schedule[self.cursor.slot].frame;
@@ -653,18 +657,15 @@ impl SessionCore {
     fn start_teardown(&mut self, ctx: &mut Ctx<'_>) {
         self.phase = Phase::Teardown { attempt: 0 };
         self.send(ctx, &Msg::Bye(ByeReason::Complete));
-        let backoff = self.retry.backoff(0);
-        self.arm(ctx, ctx.now + backoff);
+        self.arm(ctx.now + self.retry.backoff(0));
     }
 
     /// Terminal transition shared by graceful teardown and exhausted
     /// `Bye` retries (the threaded server also counted both as a
     /// completed session).
     fn finish_complete(&mut self) -> Status {
-        self.disarm();
-        self.phase = Phase::Done;
         self.telem.on_session_complete();
-        Status::Finished
+        self.finish()
     }
 
     /// A routed control datagram for this connection.
@@ -768,26 +769,29 @@ impl SessionCore {
         }
     }
 
-    /// A wheel deadline fired. Stale generations are cancelled timers
-    /// (the window was acked, the phase moved on) and must do nothing.
-    pub(crate) fn on_timer(&mut self, gen: u64, ctx: &mut Ctx<'_>) -> Status {
-        let status = self.timer_inner(gen, ctx);
+    /// Fires whatever is due at `ctx.now`: the watchdog first, then the
+    /// retry deadline. A timer not yet due, or not armed, does nothing.
+    pub(crate) fn on_deadline(&mut self, ctx: &mut Ctx<'_>) -> Status {
+        let status = self.deadline_inner(ctx);
         self.flush(ctx);
         status
     }
 
-    fn timer_inner(&mut self, gen: u64, ctx: &mut Ctx<'_>) -> Status {
-        if gen == self.watchdog_gen && self.watchdog_gen != 0 {
-            return self.on_watchdog(ctx);
+    fn deadline_inner(&mut self, ctx: &mut Ctx<'_>) -> Status {
+        if self.watchdog_at.is_some_and(|t| t <= ctx.now) {
+            self.watchdog_at = None;
+            if self.on_watchdog(ctx) == Status::Finished {
+                return Status::Finished;
+            }
         }
-        if gen != self.timer_gen {
+        if self.retry_at.is_none_or(|t| t > ctx.now) {
             return Status::Active;
         }
+        self.retry_at = None;
         match self.phase {
             Phase::AwaitBegin => {
                 self.telem.on_handshake_timeout();
-                self.phase = Phase::Done;
-                Status::Finished
+                self.finish()
             }
             Phase::Sending | Phase::Done => Status::Active,
             Phase::AwaitAck { attempt } => {
@@ -799,8 +803,7 @@ impl SessionCore {
                     self.phase = Phase::AwaitAck {
                         attempt: attempt + 1,
                     };
-                    let backoff = self.retry.backoff(attempt + 1);
-                    self.arm(ctx, ctx.now + backoff);
+                    self.arm(ctx.now + self.retry.backoff(attempt + 1));
                     Status::Active
                 } else {
                     // Retry budget spent: record the timeout and move on —
@@ -819,8 +822,7 @@ impl SessionCore {
                     self.phase = Phase::Teardown {
                         attempt: attempt + 1,
                     };
-                    let backoff = self.retry.backoff(attempt + 1);
-                    self.arm(ctx, ctx.now + backoff);
+                    self.arm(ctx.now + self.retry.backoff(attempt + 1));
                     Status::Active
                 } else {
                     self.finish_complete()
@@ -843,7 +845,6 @@ mod tests {
 
     struct Harness {
         core: SessionCore,
-        wheel: TimerWheel,
         socket: UdpSocket,
         peer: UdpSocket,
         scratch: Vec<u8>,
@@ -883,7 +884,6 @@ mod tests {
             );
             Harness {
                 core,
-                wheel: TimerWheel::new(epoch, Duration::from_millis(1), 64),
                 socket,
                 peer,
                 scratch: Vec::new(),
@@ -891,13 +891,26 @@ mod tests {
         }
 
         fn ctx_call<R>(&mut self, f: impl FnOnce(&mut SessionCore, &mut Ctx<'_>) -> R) -> R {
+            self.ctx_at(Instant::now(), f)
+        }
+
+        /// Calls into the core with the clock reading `now`.
+        fn ctx_at<R>(
+            &mut self,
+            now: Instant,
+            f: impl FnOnce(&mut SessionCore, &mut Ctx<'_>) -> R,
+        ) -> R {
             let mut ctx = Ctx {
-                now: Instant::now(),
-                wheel: &mut self.wheel,
+                now,
                 socket: &self.socket,
                 scratch: &mut self.scratch,
             };
             f(&mut self.core, &mut ctx)
+        }
+
+        /// Fires whatever is due at `now`.
+        fn fire_at(&mut self, now: Instant) -> Status {
+            self.ctx_at(now, |c, ctx| c.on_deadline(ctx))
         }
 
         /// Drains every datagram the core has sent to the peer socket.
@@ -937,13 +950,18 @@ mod tests {
     }
 
     #[test]
-    fn stale_timer_generations_never_fire() {
+    fn cancelled_begin_deadline_never_fires() {
         let mut h = Harness::new(1);
-        h.ctx_call(|c, ctx| c.start(ctx));
-        let stale = h.core.timer_gen;
-        h.ctx_call(|c, ctx| c.on_msg(&Msg::Begin, ctx.now, ctx)); // cancels Begin timer
-        assert!(h.core.timer_gen > stale);
-        let status = h.ctx_call(|c, ctx| c.on_timer(stale, ctx));
+        // Paced, so the window is still sending when the deadline passes.
+        h.core.pace = Duration::from_secs(1);
+        let t0 = Instant::now();
+        h.ctx_at(t0, |c, ctx| c.start(ctx));
+        let begin_deadline = t0 + h.core.retry.total_wait();
+        assert_eq!(h.core.retry_at, Some(begin_deadline));
+        h.ctx_at(t0, |c, ctx| c.on_msg(&Msg::Begin, ctx.now, ctx)); // cancels it
+        assert_eq!(h.core.retry_at, None, "no retry deadline mid-window");
+        assert_eq!(h.core.next_deadline(), Some(h.core.next_send_at));
+        let status = h.fire_at(begin_deadline);
         assert_eq!(status, Status::Active);
         assert!(
             matches!(h.core.phase, Phase::Sending | Phase::AwaitAck { .. }),
@@ -954,29 +972,42 @@ mod tests {
     #[test]
     fn begin_deadline_expiry_finishes_the_session() {
         let mut h = Harness::new(1);
-        h.ctx_call(|c, ctx| c.start(ctx));
-        let gen = h.core.timer_gen;
-        let status = h.ctx_call(|c, ctx| c.on_timer(gen, ctx));
-        assert_eq!(status, Status::Finished);
+        let t0 = Instant::now();
+        h.ctx_at(t0, |c, ctx| c.start(ctx));
+        let deadline = t0 + h.core.retry.total_wait();
+        assert_eq!(h.core.next_deadline(), Some(deadline));
+        let early = deadline - Duration::from_micros(1);
+        assert_eq!(h.fire_at(early), Status::Active, "not due yet");
+        assert_eq!(h.fire_at(deadline), Status::Finished);
+        assert_eq!(
+            h.core.next_deadline(),
+            None,
+            "no timer outlives the session"
+        );
     }
 
     #[test]
     fn ack_retries_then_timeout_advances_to_teardown() {
         let mut h = Harness::new(1);
-        h.ctx_call(|c, ctx| c.start(ctx));
-        h.ctx_call(|c, ctx| c.on_msg(&Msg::Begin, ctx.now, ctx));
+        let t0 = Instant::now();
+        h.ctx_at(t0, |c, ctx| c.start(ctx));
+        h.ctx_at(t0, |c, ctx| c.on_msg(&Msg::Begin, ctx.now, ctx));
         for _ in 0..100 {
-            h.ctx_call(|c, ctx| c.on_tick(ctx));
+            h.ctx_at(t0, |c, ctx| c.on_tick(ctx));
             if matches!(h.core.phase, Phase::AwaitAck { .. }) {
                 break;
             }
         }
         let _ = h.drain();
-        // Exhaust the ACK retry schedule by firing each armed deadline.
+        // Exhaust the ACK retry schedule by advancing the clock to each
+        // armed deadline: every one follows the policy's backoff.
         let max = h.core.retry.max_attempts;
-        for _ in 0..max {
-            let gen = h.core.timer_gen;
-            h.ctx_call(|c, ctx| c.on_timer(gen, ctx));
+        let mut fired_at = t0;
+        for attempt in 0..max {
+            let deadline = h.core.retry_at.expect("an ACK deadline is armed");
+            assert_eq!(deadline, fired_at + h.core.retry.backoff(attempt));
+            h.fire_at(deadline);
+            fired_at = deadline;
         }
         assert!(
             matches!(h.core.phase, Phase::Teardown { .. }),
@@ -1181,18 +1212,30 @@ mod tests {
                 ..SessionLimits::unlimited()
             },
         );
-        h.ctx_call(|c, ctx| c.start(ctx));
-        let wd = h.core.watchdog_gen;
-        assert_ne!(wd, 0, "start arms the watchdog when configured");
-        // Progress since arming: the fire re-arms instead of killing.
-        h.ctx_call(|c, ctx| c.on_msg(&Msg::Begin, ctx.now, ctx));
-        let status = h.ctx_call(|c, ctx| c.on_timer(wd, ctx));
+        let period = Duration::from_millis(200);
+        let t0 = Instant::now();
+        h.ctx_at(t0, |c, ctx| c.start(ctx));
+        let wd = h.core.watchdog_at;
+        assert_eq!(
+            wd,
+            Some(t0 + period),
+            "start arms the watchdog when configured"
+        );
+        // Progress since arming (a pre-Begin straggler still proves a
+        // live peer): the fire re-arms instead of killing. The `Begin`
+        // deadline is a full retry schedule out, so only the watchdog
+        // is due.
+        h.ctx_at(t0, |c, ctx| c.on_msg(&Msg::ByeAck, ctx.now, ctx));
+        let status = h.fire_at(t0 + period);
         assert_eq!(status, Status::Active);
-        let wd2 = h.core.watchdog_gen;
-        assert_ne!(wd2, wd, "progress re-arms a fresh watchdog generation");
+        assert_eq!(
+            h.core.watchdog_at,
+            Some(t0 + 2 * period),
+            "progress re-arms the watchdog one period on"
+        );
         let _ = h.drain();
         // A whole period with no datagram either way: typed termination.
-        let status = h.ctx_call(|c, ctx| c.on_timer(wd2, ctx));
+        let status = h.fire_at(t0 + 2 * period);
         assert_eq!(status, Status::Finished);
         assert!(
             h.drain()
@@ -1203,13 +1246,17 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_disabled_by_default_and_stale_watchdog_gens_inert() {
+    fn watchdog_disabled_by_default_arms_no_deadline() {
         let mut h = Harness::new(1);
-        h.ctx_call(|c, ctx| c.start(ctx));
-        assert_eq!(h.core.watchdog_gen, 0, "no watchdog unless configured");
-        // Gen 0 must never be treated as a live watchdog.
-        let status = h.ctx_call(|c, ctx| c.on_timer(0, ctx));
+        let t0 = Instant::now();
+        h.ctx_at(t0, |c, ctx| c.start(ctx));
+        assert_eq!(h.core.watchdog_at, None, "no watchdog unless configured");
+        // Only the Begin deadline is live, so nothing fires before it.
+        let begin_deadline = t0 + h.core.retry.total_wait();
+        assert_eq!(h.core.next_deadline(), Some(begin_deadline));
+        let status = h.fire_at(begin_deadline - Duration::from_micros(1));
         assert_eq!(status, Status::Active);
+        assert!(matches!(h.core.phase, Phase::AwaitBegin));
     }
 
     /// Regression: `send_to` failures used to be `let _ =` discarded.

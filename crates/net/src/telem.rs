@@ -18,6 +18,7 @@ pub(crate) struct ServerTelem {
     shed_enhancement: Counter,
     shed_stale_retx: Counter,
     watchdog_terminations: Counter,
+    shard_wakeups: Counter,
     datagrams_tx: Counter,
     datagrams_rx: Counter,
     bytes_tx: Counter,
@@ -45,6 +46,7 @@ impl ServerTelem {
             shed_enhancement: r.counter("net.server.shed_enhancement"),
             shed_stale_retx: r.counter("net.server.shed_stale_retx"),
             watchdog_terminations: r.counter("net.server.watchdog_terminations"),
+            shard_wakeups: r.counter("net.server.shard_wakeups"),
             datagrams_tx: r.counter("net.server.datagrams_tx"),
             datagrams_rx: r.counter("net.server.datagrams_rx"),
             bytes_tx: r.counter("net.server.bytes_tx"),
@@ -99,6 +101,11 @@ impl ServerTelem {
     #[inline]
     pub(crate) fn on_watchdog_termination(&self) {
         self.watchdog_terminations.inc();
+    }
+
+    #[inline]
+    pub(crate) fn on_shard_wakeup(&self) {
+        self.shard_wakeups.inc();
     }
 
     #[inline]

@@ -622,3 +622,55 @@ fn foreign_connection_bye_does_not_end_a_live_session() {
         "the stray Bye is dropped and counted"
     );
 }
+
+/// Regression (shard busy-poll): the shard used to keep cancelled retry
+/// deadlines in a timer wheel and woke for them, and for a 5 ms poll,
+/// long after their sessions were reaped. Twenty one-window sessions
+/// (the shape of the benchmark's `udp_churn`) run through one shard;
+/// once the table drains, an idle shard must stay parked.
+#[test]
+fn idle_shard_does_not_wake_after_its_sessions_end() {
+    use espread_telemetry::{with_current, Registry};
+
+    const SESSIONS: usize = 20;
+    let registry = Registry::new();
+    let wakeups = || {
+        registry
+            .snapshot()
+            .counter("net.server.shard_wakeups")
+            .unwrap_or(0)
+    };
+    with_current(&registry, || {
+        let trace = MpegTrace::new(Movie::JurassicPark, 1);
+        let mut config = NetServerConfig::new(
+            ProtocolConfig::paper(0.6, 1),
+            paper_offer(1),
+            StreamSource::mpeg(&trace, 1, 1, false),
+        );
+        config.workers = 1;
+        config.pace = Duration::ZERO;
+        let mut server = NetServer::bind("127.0.0.1:0", config).unwrap();
+        for i in 0..SESSIONS {
+            let client = NetClient::connect(server.local_addr(), NetClientConfig::default())
+                .unwrap_or_else(|e| panic!("session {i}: {e}"));
+            let report = client.stream().unwrap();
+            assert_eq!(report.windows_completed, 1, "session {i}");
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        while server.live_sessions() != 0 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(server.live_sessions(), 0, "every session reaped");
+        let idle_from = wakeups();
+        assert!(idle_from > 0, "the shard counts its wake-ups");
+        std::thread::sleep(Duration::from_millis(300));
+        let idle_to = wakeups();
+        assert_eq!(
+            idle_to,
+            idle_from,
+            "an idle shard woke {} times in 300 ms",
+            idle_to - idle_from
+        );
+        server.shutdown();
+    });
+}
