@@ -27,7 +27,7 @@ use espread_protocol::{
 use crate::error::NetError;
 use crate::obsrec::SessionRecorder;
 use crate::retry::RetryPolicy;
-use crate::session::{SessionCore, SessionLimits};
+use crate::session::{us, SessionCore, SessionLimits};
 use crate::shard::{Shard, ShardEvent};
 use crate::telem::ServerTelem;
 use crate::wire::{self, Accept, Msg, Reject, CONN_NONE};
@@ -206,6 +206,7 @@ impl NetServer {
         let shutdown = Arc::new(AtomicBool::new(false));
         let live = Arc::new(AtomicUsize::new(0));
         let telem = ServerTelem::default_global();
+        let epoch = Instant::now(); // every session clock counts µs from here
         let workers = config.worker_count();
         let (reaped_tx, reaped_rx) = mpsc::channel();
         let mut shards = Vec::with_capacity(workers);
@@ -215,6 +216,7 @@ impl NetServer {
             let shard = Shard {
                 rx,
                 socket: Arc::clone(&socket),
+                epoch,
                 shutdown: Arc::clone(&shutdown),
                 reaped: reaped_tx.clone(),
                 live_gauge: Arc::clone(&live),
@@ -230,6 +232,7 @@ impl NetServer {
         drop(reaped_tx);
         let demux = Demux {
             socket,
+            epoch,
             source: Arc::new(config.source),
             protocol: config.protocol,
             offer: config.offer,
@@ -379,6 +382,7 @@ fn alloc_conn_id(next: &mut u32, live: &HashSet<u32>) -> Option<u32> {
 
 struct Demux {
     socket: Arc<UdpSocket>,
+    epoch: Instant,
     source: Arc<StreamSource>,
     protocol: ProtocolConfig,
     offer: SessionOffer,
@@ -460,10 +464,7 @@ impl Demux {
                 if let Some((addr, reply)) = handshakes.get(hello.nonce, now) {
                     // Duplicate Hello (our reply was lost): resend the
                     // cached verdict, idempotently.
-                    match self.socket.send_to(reply, addr) {
-                        Ok(_) => self.telem.on_tx(reply.len()),
-                        Err(_) => self.telem.on_send_error(),
-                    }
+                    self.telem.send_to(&self.socket, reply, addr);
                     return;
                 }
                 let caps = ClientCapabilities {
@@ -510,10 +511,7 @@ impl Demux {
                         bytes
                     }
                 };
-                match self.socket.send_to(&reply, from) {
-                    Ok(_) => self.telem.on_tx(reply.len()),
-                    Err(_) => self.telem.on_send_error(),
-                }
+                self.telem.send_to(&self.socket, &reply, from);
                 for _ in 0..handshakes.insert(hello.nonce, from, reply, now) {
                     self.telem.on_handshake_eviction();
                 }
@@ -522,7 +520,7 @@ impl Demux {
                 let _ = self.shard_of(conn_id).send(ShardEvent::Msg {
                     conn: conn_id,
                     msg: other,
-                    at: Instant::now(),
+                    at: us(self.epoch.elapsed()),
                 });
             }
             _ => {} // sessionless non-Hello: ignore
@@ -542,7 +540,6 @@ impl Demux {
         let conn_id = alloc_conn_id(next_conn, live)?;
         let core = SessionCore::new(
             conn_id,
-            from,
             self.protocol.clone().with_ordering(hello.ordering),
             Arc::clone(&self.source),
             self.retry,
@@ -551,13 +548,10 @@ impl Demux {
             self.limits,
             self.telem.clone(),
             self.obs.clone(),
-            Instant::now(),
+            us(self.epoch.elapsed()),
         );
-        if self
-            .shard_of(conn_id)
-            .send(ShardEvent::Open(Box::new(core)))
-            .is_err()
-        {
+        let open = ShardEvent::Open(from, Box::new(core));
+        if self.shard_of(conn_id).send(open).is_err() {
             return None;
         }
         live.insert(conn_id);

@@ -1,31 +1,28 @@
-//! A server session as a `poll()`-able state object.
+//! A server session as a sans-IO state object.
 //!
 //! [`SessionCore`] is the window-pacing / `WindowAck`-retry /
-//! `CriticalNack` logic that used to live in a blocking per-session
-//! thread, rewritten as an explicit state machine the shard event loop
-//! drives with three entry points:
+//! `CriticalNack` logic of the paper's §4.2 protocol as an explicit
+//! state machine with three entry points:
 //!
 //! * [`SessionCore::on_msg`] — a routed datagram arrived for this
 //!   connection;
 //! * [`SessionCore::on_deadline`] — the clock reached one of the
 //!   session's own timers (the watchdog, then the retry deadline);
-//! * [`SessionCore::on_tick`] — the transmit pump: sends the next paced
+//! * [`SessionCore::on_tick`] — the transmit pump: queues the next paced
 //!   batch of fragments when the session is mid-window.
 //!
-//! The session owns its deadlines: at most one retry deadline (ACK wait,
-//! teardown wait or the `Begin` handshake window) and one watchdog,
-//! each an `Option<Instant>` that arming sets and disarming clears, so
-//! a cancelled timer exists nowhere. [`SessionCore::next_deadline`]
-//! tells the shard when to wake the session next.
-//!
-//! All waiting happens in the shard loop; nothing here blocks, sleeps,
-//! or owns a thread. Deadlines come from the same [`RetryPolicy`]
-//! schedules the threaded server used, so the retry/NACK behaviour on
-//! the wire is unchanged.
+//! The core does no I/O and never blocks. A call reads the clock from
+//! [`Ctx::now`] (µs since the server epoch) and appends its datagrams to
+//! the [`OutQueue`] the caller drains afterwards, so tests and simulated
+//! transports drive it with plain integers. The session owns its
+//! deadlines, which arming sets and disarming clears, so a cancelled
+//! timer exists nowhere; [`SessionCore::next_deadline`] reports the
+//! earliest. They follow the threaded server's [`RetryPolicy`]
+//! schedules, so the retry/NACK behaviour on the wire is unchanged.
 
-use std::net::{SocketAddr, UdpSocket};
+use std::ops::Range;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use espread_fec::Codec;
 use espread_protocol::{
@@ -63,7 +60,7 @@ pub(crate) struct SessionLimits {
 
 impl SessionLimits {
     /// Every mechanism disabled — the pre-overload-protection behaviour.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub(crate) fn unlimited() -> Self {
         SessionLimits {
             shed_lag: Duration::ZERO,
@@ -73,14 +70,31 @@ impl SessionLimits {
     }
 }
 
-/// Everything a session needs from its shard to make progress: the
-/// shared socket, a reusable encode buffer (the per-shard "buffer
-/// pool" — one allocation serves every send on the shard), and the
-/// loop's current time.
+/// The datagrams queued by session calls, in encode order: one encode
+/// buffer (the per-shard "buffer pool" — one allocation serves every
+/// send on the shard) and each datagram's byte span in it.
+#[derive(Debug, Default)]
+pub(crate) struct OutQueue {
+    bytes: Vec<u8>,
+    spans: Vec<Range<usize>>,
+}
+
+impl OutQueue {
+    /// Hands every queued datagram to `send`, in encode order, and
+    /// empties the queue.
+    pub(crate) fn drain(&mut self, mut send: impl FnMut(&[u8])) {
+        for span in self.spans.drain(..) {
+            send(&self.bytes[span]);
+        }
+        self.bytes.clear();
+    }
+}
+
+/// What a session call reads and writes: the clock, in µs since the
+/// server epoch, and the out-queue its sends append to.
 pub(crate) struct Ctx<'a> {
-    pub now: Instant,
-    pub socket: &'a UdpSocket,
-    pub scratch: &'a mut Vec<u8>,
+    pub now: u64,
+    pub out: &'a mut OutQueue,
 }
 
 /// What the shard should do with the session after an event.
@@ -92,12 +106,14 @@ pub(crate) enum Status {
     Finished,
 }
 
-/// The earlier of two optional instants.
-pub(crate) fn earliest(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
-    match (a, b) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    }
+/// A duration in whole µs, the unit of the session clock.
+pub(crate) fn us(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
+/// The earlier of two optional clock values.
+pub(crate) fn earliest(a: Option<u64>, b: Option<u64>) -> Option<u64> {
+    a.into_iter().chain(b).min()
 }
 
 /// Where the session is in its lifecycle.
@@ -145,25 +161,26 @@ struct FecState {
 /// One connection's complete server-side state.
 pub(crate) struct SessionCore {
     conn_id: u32,
-    peer: SocketAddr,
     protocol: ProtocolConfig,
     source: Arc<StreamSource>,
     retry: RetryPolicy,
     pace: Duration,
     telem: ServerTelem,
     obs: SessionRecorder,
-    epoch: Instant,
+    /// When the session was opened; `WindowEnd` stamps and RTT samples
+    /// count from here.
+    epoch: u64,
     proto: Server,
     phase: Phase,
     /// The live retry deadline (ACK wait, teardown wait or the `Begin`
     /// window), if one is armed.
-    retry_at: Option<Instant>,
+    retry_at: Option<u64>,
     /// The live no-progress watchdog deadline, if one is armed.
-    watchdog_at: Option<Instant>,
+    watchdog_at: Option<u64>,
     window: usize,
     plan: Option<Arc<WindowPlan>>,
     cursor: SendCursor,
-    next_send_at: Instant,
+    next_send_at: u64,
     fec: Option<FecState>,
     limits: SessionLimits,
     /// Per-frame criticality of the current window (the shed boundary:
@@ -171,21 +188,13 @@ pub(crate) struct SessionCore {
     critical: Vec<bool>,
     /// When the current window's first `WindowEnd` went out — the stale
     /// clock retransmission requests are judged against.
-    closed_at: Instant,
+    closed_at: u64,
     /// Datagram activity counter (sends + routed receives); the watchdog
     /// compares it against [`Self::progress_mark`] to detect a session
     /// making no forward progress at all.
     progress: u64,
     /// Value of `progress` when the watchdog was last armed.
     progress_mark: u64,
-    /// Byte ranges of the datagrams batched into the shard scratch
-    /// buffer since the last flush; flushed (in order) at the end of
-    /// every event entry point, so wire order matches encode order.
-    batch_spans: Vec<std::ops::Range<usize>>,
-    /// `send_to` failures over the session's lifetime (also counted in
-    /// `net.server.send_errors`); nonzero values mean the local stack
-    /// refused datagrams the peer will see as loss.
-    send_errors: u64,
     /// `slot_of_frame[frame]` = first schedule slot carrying `frame` in
     /// the current window, `u32::MAX` when the frame is unscheduled.
     /// Rebuilt per window so NACK retransmissions index instead of scan.
@@ -196,7 +205,6 @@ impl SessionCore {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         conn_id: u32,
-        peer: SocketAddr,
         protocol: ProtocolConfig,
         source: Arc<StreamSource>,
         retry: RetryPolicy,
@@ -205,7 +213,7 @@ impl SessionCore {
         limits: SessionLimits,
         telem: ServerTelem,
         obs: SessionRecorder,
-        epoch: Instant,
+        epoch: u64,
     ) -> Self {
         let proto = Server::new(&protocol, &source.poset);
         // The offer validated the geometry; a bad one here (hand-built
@@ -225,7 +233,6 @@ impl SessionCore {
         };
         SessionCore {
             conn_id,
-            peer,
             protocol,
             source,
             retry,
@@ -247,48 +254,46 @@ impl SessionCore {
             closed_at: epoch,
             progress: 0,
             progress_mark: 0,
-            batch_spans: Vec::new(),
-            send_errors: 0,
             slot_of_frame: Vec::new(),
         }
-    }
-
-    /// Lifetime `send_to` failures; surfaced so shard reports can flag
-    /// sessions whose datagrams never left the host.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn send_errors(&self) -> u64 {
-        self.send_errors
     }
 
     pub(crate) fn conn_id(&self) -> u32 {
         self.conn_id
     }
 
+    /// Whether the window is closed and the session waits for its ACK.
+    #[cfg(test)]
+    pub(crate) fn awaits_ack(&self) -> bool {
+        matches!(self.phase, Phase::AwaitAck { .. })
+    }
+
     /// The earliest armed timer (retry or watchdog), if any. The shard
     /// fires due timers in `(deadline, conn)` order.
-    pub(crate) fn timer_at(&self) -> Option<Instant> {
+    pub(crate) fn timer_at(&self) -> Option<u64> {
         earliest(self.retry_at, self.watchdog_at)
     }
 
     /// When the session next needs the shard: its earliest timer or,
     /// mid-window, the paced send clock. `None` means it waits only for
     /// datagrams.
-    pub(crate) fn next_deadline(&self) -> Option<Instant> {
+    pub(crate) fn next_deadline(&self) -> Option<u64> {
         let send_at = matches!(self.phase, Phase::Sending).then_some(self.next_send_at);
         earliest(self.timer_at(), send_at)
     }
 
     /// Arms the session's `Begin` deadline (and the progress watchdog,
     /// when configured); called once, right after the shard inserts the
-    /// session.
-    pub(crate) fn start(&mut self, ctx: &mut Ctx<'_>) {
-        self.arm(ctx.now + self.retry.total_wait());
+    /// session. Sends nothing, so the session stays active.
+    pub(crate) fn start(&mut self, ctx: &mut Ctx<'_>) -> Status {
+        self.arm(ctx.now, self.retry.total_wait());
         self.arm_watchdog(ctx.now);
+        Status::Active
     }
 
-    /// Replaces the live retry deadline.
-    fn arm(&mut self, deadline: Instant) {
-        self.retry_at = Some(deadline);
+    /// Replaces the live retry deadline with one `wait` after `now`.
+    fn arm(&mut self, now: u64, wait: Duration) {
+        self.retry_at = Some(now.saturating_add(us(wait)));
     }
 
     /// Cancels the live retry deadline without arming a new one.
@@ -298,12 +303,12 @@ impl SessionCore {
 
     /// Arms (or re-arms) the no-progress watchdog, snapshotting the
     /// progress counter the eventual fire will be judged against.
-    fn arm_watchdog(&mut self, now: Instant) {
+    fn arm_watchdog(&mut self, now: u64) {
         if self.limits.watchdog.is_zero() {
             return;
         }
         self.progress_mark = self.progress;
-        self.watchdog_at = Some(now + self.limits.watchdog);
+        self.watchdog_at = Some(now.saturating_add(us(self.limits.watchdog)));
     }
 
     /// Terminal transition: no timer outlives the session.
@@ -332,19 +337,18 @@ impl SessionCore {
         self.finish()
     }
 
-    fn elapsed_us(&self, now: Instant) -> u64 {
+    fn elapsed_us(&self, now: u64) -> u64 {
         // Never 0: an echo of 0 marks "no RTT sample" on the ACK path.
-        (now.saturating_duration_since(self.epoch).as_micros() as u64).max(1)
+        now.saturating_sub(self.epoch).max(1)
     }
 
-    /// Encodes onto the end of the shard's scratch buffer — the shard's
-    /// scatter buffer, one allocation serving every datagram of a batch
-    /// — and queues the datagram's span for [`Self::flush`]. Oversize
-    /// messages are counted and dropped, never a panic — the peer's
-    /// retry machinery treats the gap as loss.
+    /// Encodes onto the end of the out-queue, which the shard drains to
+    /// the socket after the call. Oversize messages are counted and
+    /// dropped, never a panic — the peer's retry machinery treats the
+    /// gap as loss.
     fn send(&mut self, ctx: &mut Ctx<'_>, msg: &Msg) {
         self.progress += 1;
-        let Ok(span) = wire::try_encode_append(self.conn_id, msg, ctx.scratch) else {
+        let Ok(span) = wire::try_encode_append(self.conn_id, msg, &mut ctx.out.bytes) else {
             self.telem.on_encode_oversize();
             self.obs.refused_msg(self.conn_id, msg);
             return;
@@ -352,29 +356,10 @@ impl SessionCore {
         // Record before the bytes hit the socket, so a matching delivery
         // on a shared clock can never timestamp earlier than its send.
         self.obs.sent_msg(self.conn_id, msg);
-        self.batch_spans.push(span);
+        ctx.out.spans.push(span);
     }
 
-    /// Drains the batched datagrams to the socket in encode order.
-    /// Failed sends are counted (`net.server.send_errors` and the
-    /// session's own tally), never silently discarded: the peer's retry
-    /// machinery sees the gap as loss either way, but the operator can
-    /// now tell local-stack refusal from network loss.
-    fn flush(&mut self, ctx: &mut Ctx<'_>) {
-        for span in self.batch_spans.drain(..) {
-            let datagram = &ctx.scratch[span];
-            match ctx.socket.send_to(datagram, self.peer) {
-                Ok(_) => self.telem.on_tx(datagram.len()),
-                Err(_) => {
-                    self.telem.on_send_error();
-                    self.send_errors += 1;
-                }
-            }
-        }
-        ctx.scratch.clear();
-    }
-
-    fn window_end(&self, now: Instant, w: u64) -> Msg {
+    fn window_end(&self, now: u64, w: u64) -> Msg {
         Msg::WindowEnd(WindowEnd {
             window: w,
             sent_at_us: self.elapsed_us(now),
@@ -540,15 +525,7 @@ impl SessionCore {
     /// clock allows, emit fragments (at most [`TICK_BATCH`] per call so
     /// shard peers stay served). Closes the window with a `WindowEnd`
     /// and arms the first ACK-retry deadline when the schedule runs dry.
-    /// The whole batch is encoded into the shard's scatter buffer and
-    /// flushed to the socket once, in order, on the way out.
     pub(crate) fn on_tick(&mut self, ctx: &mut Ctx<'_>) -> Status {
-        let status = self.tick_inner(ctx);
-        self.flush(ctx);
-        status
-    }
-
-    fn tick_inner(&mut self, ctx: &mut Ctx<'_>) -> Status {
         if !matches!(self.phase, Phase::Sending) {
             return Status::Active;
         }
@@ -565,7 +542,7 @@ impl SessionCore {
                 self.send(ctx, &end);
                 self.closed_at = ctx.now;
                 self.phase = Phase::AwaitAck { attempt: 0 };
-                self.arm(ctx.now + self.retry.backoff(0));
+                self.arm(ctx.now, self.retry.backoff(0));
                 return Status::Active;
             }
             let frame = plan.schedule[self.cursor.slot].frame;
@@ -593,9 +570,7 @@ impl SessionCore {
                     frag: 0,
                 };
             }
-            if !self.pace.is_zero() {
-                self.next_send_at += self.pace;
-            }
+            self.next_send_at = self.next_send_at.saturating_add(us(self.pace));
             budget -= 1;
         }
         Status::Active
@@ -605,7 +580,7 @@ impl SessionCore {
     /// enabled, the frame is enhancement-layer, and the pacing debt
     /// (how far behind `next_send_at` the loop is running) has crossed
     /// the configured lag.
-    fn should_shed(&self, now: Instant, frame: usize) -> bool {
+    fn should_shed(&self, now: u64, frame: usize) -> bool {
         if self.limits.shed_lag.is_zero() {
             return false;
         }
@@ -614,15 +589,15 @@ impl SessionCore {
         if self.critical.get(frame).copied().unwrap_or(true) {
             return false;
         }
-        now.saturating_duration_since(self.next_send_at) >= self.limits.shed_lag
+        now.saturating_sub(self.next_send_at) >= us(self.limits.shed_lag)
     }
 
     /// Offers a routed message to the planner; ACKs also feed the RTT
     /// histogram. Returns the window an ACK described, if any.
-    fn feed(&mut self, msg: &Msg, at: Instant) -> Option<u64> {
+    fn feed(&mut self, msg: &Msg, at: u64) -> Option<u64> {
         if let Msg::WindowAck(ack) = msg {
             if ack.echo_us != 0 {
-                let at_us = at.saturating_duration_since(self.epoch).as_micros() as u64;
+                let at_us = at.saturating_sub(self.epoch);
                 self.telem.rtt_us(at_us.saturating_sub(ack.echo_us));
             }
             self.obs.ack_received(self.conn_id, ack.window, ack.ack_seq);
@@ -657,7 +632,7 @@ impl SessionCore {
     fn start_teardown(&mut self, ctx: &mut Ctx<'_>) {
         self.phase = Phase::Teardown { attempt: 0 };
         self.send(ctx, &Msg::Bye(ByeReason::Complete));
-        self.arm(ctx.now + self.retry.backoff(0));
+        self.arm(ctx.now, self.retry.backoff(0));
     }
 
     /// Terminal transition shared by graceful teardown and exhausted
@@ -668,14 +643,9 @@ impl SessionCore {
         self.finish()
     }
 
-    /// A routed control datagram for this connection.
-    pub(crate) fn on_msg(&mut self, msg: &Msg, at: Instant, ctx: &mut Ctx<'_>) -> Status {
-        let status = self.msg_inner(msg, at, ctx);
-        self.flush(ctx);
-        status
-    }
-
-    fn msg_inner(&mut self, msg: &Msg, at: Instant, ctx: &mut Ctx<'_>) -> Status {
+    /// A routed control datagram for this connection, which arrived at
+    /// `at` on the session clock.
+    pub(crate) fn on_msg(&mut self, msg: &Msg, at: u64, ctx: &mut Ctx<'_>) -> Status {
         // Any routed datagram is evidence of a live peer.
         self.progress += 1;
         match &self.phase {
@@ -710,8 +680,8 @@ impl SessionCore {
                         // playout deadline would resend frames the
                         // client can no longer show; skip it as stale.
                         let stale = !self.limits.stale_retx_after.is_zero()
-                            && ctx.now.saturating_duration_since(self.closed_at)
-                                >= self.limits.stale_retx_after;
+                            && ctx.now.saturating_sub(self.closed_at)
+                                >= us(self.limits.stale_retx_after);
                         for frame in missing {
                             self.obs.nack_received(self.conn_id, w, frame as u32);
                             if stale {
@@ -772,12 +742,6 @@ impl SessionCore {
     /// Fires whatever is due at `ctx.now`: the watchdog first, then the
     /// retry deadline. A timer not yet due, or not armed, does nothing.
     pub(crate) fn on_deadline(&mut self, ctx: &mut Ctx<'_>) -> Status {
-        let status = self.deadline_inner(ctx);
-        self.flush(ctx);
-        status
-    }
-
-    fn deadline_inner(&mut self, ctx: &mut Ctx<'_>) -> Status {
         if self.watchdog_at.is_some_and(|t| t <= ctx.now) {
             self.watchdog_at = None;
             if self.on_watchdog(ctx) == Status::Finished {
@@ -803,7 +767,7 @@ impl SessionCore {
                     self.phase = Phase::AwaitAck {
                         attempt: attempt + 1,
                     };
-                    self.arm(ctx.now + self.retry.backoff(attempt + 1));
+                    self.arm(ctx.now, self.retry.backoff(attempt + 1));
                     Status::Active
                 } else {
                     // Retry budget spent: record the timeout and move on —
@@ -822,7 +786,7 @@ impl SessionCore {
                     self.phase = Phase::Teardown {
                         attempt: attempt + 1,
                     };
-                    self.arm(ctx.now + self.retry.backoff(attempt + 1));
+                    self.arm(ctx.now, self.retry.backoff(attempt + 1));
                     Status::Active
                 } else {
                     self.finish_complete()
@@ -835,8 +799,13 @@ impl SessionCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{CriticalNackMsg, WindowAckMsg};
     use espread_protocol::{ProtocolConfig, StreamSource};
     use espread_trace::{Movie, MpegTrace};
+
+    /// Session clock of the calls whose timing does not matter: far
+    /// enough past the epoch (0) to put state a second in the past.
+    const T0: u64 = 10_000_000;
 
     fn source(windows: usize) -> Arc<StreamSource> {
         let trace = MpegTrace::new(Movie::JurassicPark, 1);
@@ -845,100 +814,76 @@ mod tests {
 
     struct Harness {
         core: SessionCore,
-        socket: UdpSocket,
-        peer: UdpSocket,
-        scratch: Vec<u8>,
+        out: OutQueue,
     }
 
     impl Harness {
         fn new(windows: usize) -> Self {
-            Self::build(windows, FecPolicy::off(), SessionLimits::unlimited())
+            Self::with_fec(windows, FecPolicy::off())
         }
 
         fn with_fec(windows: usize, fec: FecPolicy) -> Self {
-            Self::build(windows, fec, SessionLimits::unlimited())
-        }
-
-        fn with_limits(windows: usize, limits: SessionLimits) -> Self {
-            Self::build(windows, FecPolicy::off(), limits)
-        }
-
-        fn build(windows: usize, fec: FecPolicy, limits: SessionLimits) -> Self {
-            let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
-            let peer = UdpSocket::bind("127.0.0.1:0").unwrap();
-            peer.set_read_timeout(Some(Duration::from_millis(200)))
-                .unwrap();
-            let epoch = Instant::now();
             let core = SessionCore::new(
                 1,
-                peer.local_addr().unwrap(),
                 ProtocolConfig::paper(0.6, 1),
                 source(windows),
                 RetryPolicy::lan(),
                 Duration::ZERO,
                 fec,
-                limits,
+                SessionLimits::unlimited(),
                 ServerTelem::default_global(),
                 SessionRecorder::disabled(),
-                epoch,
+                0,
             );
             Harness {
                 core,
-                socket,
-                peer,
-                scratch: Vec::new(),
+                out: OutQueue::default(),
             }
-        }
-
-        fn ctx_call<R>(&mut self, f: impl FnOnce(&mut SessionCore, &mut Ctx<'_>) -> R) -> R {
-            self.ctx_at(Instant::now(), f)
         }
 
         /// Calls into the core with the clock reading `now`.
-        fn ctx_at<R>(
-            &mut self,
-            now: Instant,
-            f: impl FnOnce(&mut SessionCore, &mut Ctx<'_>) -> R,
-        ) -> R {
-            let mut ctx = Ctx {
-                now,
-                socket: &self.socket,
-                scratch: &mut self.scratch,
-            };
-            f(&mut self.core, &mut ctx)
+        fn at<R>(&mut self, now: u64, f: impl FnOnce(&mut SessionCore, &mut Ctx<'_>) -> R) -> R {
+            f(
+                &mut self.core,
+                &mut Ctx {
+                    now,
+                    out: &mut self.out,
+                },
+            )
+        }
+
+        /// Pumps at `T0` until the window closes (bounded).
+        fn pump(&mut self) {
+            for _ in 0..500 {
+                if matches!(self.core.phase, Phase::AwaitAck { .. }) {
+                    break;
+                }
+                self.at(T0, |c, ctx| c.on_tick(ctx));
+            }
         }
 
         /// Fires whatever is due at `now`.
-        fn fire_at(&mut self, now: Instant) -> Status {
-            self.ctx_at(now, |c, ctx| c.on_deadline(ctx))
+        fn fire_at(&mut self, now: u64) -> Status {
+            self.at(now, |c, ctx| c.on_deadline(ctx))
         }
 
-        /// Drains every datagram the core has sent to the peer socket.
-        fn drain(&self) -> Vec<Msg> {
-            let mut buf = vec![0u8; 65_536];
-            let mut out = Vec::new();
-            while let Ok(len) = self.peer.recv(&mut buf) {
-                if let Ok((_, msg)) = wire::decode(&buf[..len]) {
-                    out.push(msg);
-                }
-            }
-            out
+        /// Decodes and empties every datagram the core has queued.
+        fn drain(&mut self) -> Vec<Msg> {
+            let mut msgs = Vec::new();
+            self.out
+                .drain(|d| msgs.push(wire::decode(d).expect("session datagrams decode").1));
+            msgs
         }
     }
 
     #[test]
     fn begin_starts_the_window_and_sends_the_whole_schedule() {
         let mut h = Harness::new(1);
-        h.ctx_call(|c, ctx| c.start(ctx));
-        let status = h.ctx_call(|c, ctx| c.on_msg(&Msg::Begin, ctx.now, ctx));
+        h.at(T0, |c, ctx| c.start(ctx));
+        let status = h.at(T0, |c, ctx| c.on_msg(&Msg::Begin, ctx.now, ctx));
         assert_eq!(status, Status::Active);
         // Pump until the WindowEnd goes out (pace is zero, batch-bounded).
-        for _ in 0..100 {
-            h.ctx_call(|c, ctx| c.on_tick(ctx));
-            if matches!(h.core.phase, Phase::AwaitAck { .. }) {
-                break;
-            }
-        }
+        h.pump();
         let msgs = h.drain();
         let data = msgs.iter().filter(|m| m.is_data()).count();
         assert!(data > 0, "schedule fragments must flow");
@@ -954,11 +899,10 @@ mod tests {
         let mut h = Harness::new(1);
         // Paced, so the window is still sending when the deadline passes.
         h.core.pace = Duration::from_secs(1);
-        let t0 = Instant::now();
-        h.ctx_at(t0, |c, ctx| c.start(ctx));
-        let begin_deadline = t0 + h.core.retry.total_wait();
+        h.at(T0, |c, ctx| c.start(ctx));
+        let begin_deadline = T0 + us(h.core.retry.total_wait());
         assert_eq!(h.core.retry_at, Some(begin_deadline));
-        h.ctx_at(t0, |c, ctx| c.on_msg(&Msg::Begin, ctx.now, ctx)); // cancels it
+        h.at(T0, |c, ctx| c.on_msg(&Msg::Begin, ctx.now, ctx)); // cancels it
         assert_eq!(h.core.retry_at, None, "no retry deadline mid-window");
         assert_eq!(h.core.next_deadline(), Some(h.core.next_send_at));
         let status = h.fire_at(begin_deadline);
@@ -972,11 +916,10 @@ mod tests {
     #[test]
     fn begin_deadline_expiry_finishes_the_session() {
         let mut h = Harness::new(1);
-        let t0 = Instant::now();
-        h.ctx_at(t0, |c, ctx| c.start(ctx));
-        let deadline = t0 + h.core.retry.total_wait();
+        h.at(T0, |c, ctx| c.start(ctx));
+        let deadline = T0 + us(h.core.retry.total_wait());
         assert_eq!(h.core.next_deadline(), Some(deadline));
-        let early = deadline - Duration::from_micros(1);
+        let early = deadline - 1;
         assert_eq!(h.fire_at(early), Status::Active, "not due yet");
         assert_eq!(h.fire_at(deadline), Status::Finished);
         assert_eq!(
@@ -989,23 +932,17 @@ mod tests {
     #[test]
     fn ack_retries_then_timeout_advances_to_teardown() {
         let mut h = Harness::new(1);
-        let t0 = Instant::now();
-        h.ctx_at(t0, |c, ctx| c.start(ctx));
-        h.ctx_at(t0, |c, ctx| c.on_msg(&Msg::Begin, ctx.now, ctx));
-        for _ in 0..100 {
-            h.ctx_at(t0, |c, ctx| c.on_tick(ctx));
-            if matches!(h.core.phase, Phase::AwaitAck { .. }) {
-                break;
-            }
-        }
+        h.at(T0, |c, ctx| c.start(ctx));
+        h.at(T0, |c, ctx| c.on_msg(&Msg::Begin, ctx.now, ctx));
+        h.pump();
         let _ = h.drain();
         // Exhaust the ACK retry schedule by advancing the clock to each
         // armed deadline: every one follows the policy's backoff.
         let max = h.core.retry.max_attempts;
-        let mut fired_at = t0;
+        let mut fired_at = T0;
         for attempt in 0..max {
             let deadline = h.core.retry_at.expect("an ACK deadline is armed");
-            assert_eq!(deadline, fired_at + h.core.retry.backoff(attempt));
+            assert_eq!(deadline, fired_at + us(h.core.retry.backoff(attempt)));
             h.fire_at(deadline);
             fired_at = deadline;
         }
@@ -1032,14 +969,9 @@ mod tests {
     /// Pumps the harness until the window closes, returning everything
     /// that hit the wire.
     fn pump_one_window(h: &mut Harness) -> Vec<Msg> {
-        h.ctx_call(|c, ctx| c.start(ctx));
-        h.ctx_call(|c, ctx| c.on_msg(&Msg::Begin, ctx.now, ctx));
-        for _ in 0..100 {
-            h.ctx_call(|c, ctx| c.on_tick(ctx));
-            if matches!(h.core.phase, Phase::AwaitAck { .. }) {
-                break;
-            }
-        }
+        h.at(T0, |c, ctx| c.start(ctx));
+        h.at(T0, |c, ctx| c.on_msg(&Msg::Begin, ctx.now, ctx));
+        h.pump();
         h.drain()
     }
 
@@ -1119,24 +1051,14 @@ mod tests {
 
     #[test]
     fn overload_sheds_enhancement_frames_never_critical() {
-        let mut h = Harness::with_limits(
-            1,
-            SessionLimits {
-                shed_lag: Duration::from_millis(1),
-                ..SessionLimits::unlimited()
-            },
-        );
+        let mut h = Harness::new(1);
+        h.core.limits.shed_lag = Duration::from_millis(1);
         h.core.pace = Duration::from_millis(1);
-        h.ctx_call(|c, ctx| c.start(ctx));
-        h.ctx_call(|c, ctx| c.on_msg(&Msg::Begin, ctx.now, ctx));
+        h.at(T0, |c, ctx| c.start(ctx));
+        h.at(T0, |c, ctx| c.on_msg(&Msg::Begin, ctx.now, ctx));
         // Put the session a full second behind its pacing schedule.
-        h.core.next_send_at = Instant::now() - Duration::from_secs(1);
-        for _ in 0..500 {
-            h.ctx_call(|c, ctx| c.on_tick(ctx));
-            if matches!(h.core.phase, Phase::AwaitAck { .. }) {
-                break;
-            }
-        }
+        h.core.next_send_at = T0 - 1_000_000;
+        h.pump();
         assert!(
             matches!(h.core.phase, Phase::AwaitAck { .. }),
             "a shedding session still closes its window"
@@ -1167,22 +1089,17 @@ mod tests {
 
     #[test]
     fn stale_nack_rounds_skip_retransmission_fresh_ones_do_not() {
-        let mut h = Harness::with_limits(
-            1,
-            SessionLimits {
-                stale_retx_after: Duration::from_millis(50),
-                ..SessionLimits::unlimited()
-            },
-        );
+        let mut h = Harness::new(1);
+        h.core.limits.stale_retx_after = Duration::from_millis(50);
         let _ = pump_one_window(&mut h);
-        let nack = Msg::CriticalNack(crate::wire::CriticalNackMsg {
+        let nack = Msg::CriticalNack(CriticalNackMsg {
             window: 0,
             missing: vec![0],
         });
         // Past the playout deadline: the round is answered (WindowEnd)
         // but nothing is retransmitted.
-        h.core.closed_at = Instant::now() - Duration::from_millis(100);
-        h.ctx_call(|c, ctx| c.on_msg(&nack, ctx.now, ctx));
+        h.core.closed_at = T0 - 100_000;
+        h.at(T0, |c, ctx| c.on_msg(&nack, ctx.now, ctx));
         let msgs = h.drain();
         assert!(
             !msgs.iter().any(Msg::is_data),
@@ -1193,8 +1110,8 @@ mod tests {
             "a stale round still re-answers with a WindowEnd"
         );
         // A fresh round (window just closed) retransmits as before.
-        h.core.closed_at = Instant::now();
-        h.ctx_call(|c, ctx| c.on_msg(&nack, ctx.now, ctx));
+        h.core.closed_at = T0;
+        h.at(T0, |c, ctx| c.on_msg(&nack, ctx.now, ctx));
         let msgs = h.drain();
         assert!(
             msgs.iter()
@@ -1205,37 +1122,31 @@ mod tests {
 
     #[test]
     fn watchdog_rearms_on_progress_then_terminates_a_stalled_session() {
-        let mut h = Harness::with_limits(
-            1,
-            SessionLimits {
-                watchdog: Duration::from_millis(200),
-                ..SessionLimits::unlimited()
-            },
-        );
-        let period = Duration::from_millis(200);
-        let t0 = Instant::now();
-        h.ctx_at(t0, |c, ctx| c.start(ctx));
+        let mut h = Harness::new(1);
+        h.core.limits.watchdog = Duration::from_millis(200);
+        let period = 200_000;
+        h.at(T0, |c, ctx| c.start(ctx));
         let wd = h.core.watchdog_at;
         assert_eq!(
             wd,
-            Some(t0 + period),
+            Some(T0 + period),
             "start arms the watchdog when configured"
         );
         // Progress since arming (a pre-Begin straggler still proves a
         // live peer): the fire re-arms instead of killing. The `Begin`
         // deadline is a full retry schedule out, so only the watchdog
         // is due.
-        h.ctx_at(t0, |c, ctx| c.on_msg(&Msg::ByeAck, ctx.now, ctx));
-        let status = h.fire_at(t0 + period);
+        h.at(T0, |c, ctx| c.on_msg(&Msg::ByeAck, ctx.now, ctx));
+        let status = h.fire_at(T0 + period);
         assert_eq!(status, Status::Active);
         assert_eq!(
             h.core.watchdog_at,
-            Some(t0 + 2 * period),
+            Some(T0 + 2 * period),
             "progress re-arms the watchdog one period on"
         );
         let _ = h.drain();
         // A whole period with no datagram either way: typed termination.
-        let status = h.fire_at(t0 + 2 * period);
+        let status = h.fire_at(T0 + 2 * period);
         assert_eq!(status, Status::Finished);
         assert!(
             h.drain()
@@ -1248,52 +1159,87 @@ mod tests {
     #[test]
     fn watchdog_disabled_by_default_arms_no_deadline() {
         let mut h = Harness::new(1);
-        let t0 = Instant::now();
-        h.ctx_at(t0, |c, ctx| c.start(ctx));
+        h.at(T0, |c, ctx| c.start(ctx));
         assert_eq!(h.core.watchdog_at, None, "no watchdog unless configured");
         // Only the Begin deadline is live, so nothing fires before it.
-        let begin_deadline = t0 + h.core.retry.total_wait();
+        let begin_deadline = T0 + us(h.core.retry.total_wait());
         assert_eq!(h.core.next_deadline(), Some(begin_deadline));
-        let status = h.fire_at(begin_deadline - Duration::from_micros(1));
+        let status = h.fire_at(begin_deadline - 1);
         assert_eq!(status, Status::Active);
         assert!(matches!(h.core.phase, Phase::AwaitBegin));
-    }
-
-    /// Regression: `send_to` failures used to be `let _ =` discarded.
-    /// Port 0 is an invalid destination on Linux, so every datagram of
-    /// the window fails — each failure must be counted, none may panic
-    /// or stall the state machine.
-    #[test]
-    fn send_failures_are_counted_not_discarded() {
-        let mut h = Harness::new(1);
-        h.core.peer = "127.0.0.1:0".parse().unwrap();
-        assert_eq!(h.core.send_errors(), 0);
-        h.ctx_call(|c, ctx| c.start(ctx));
-        h.ctx_call(|c, ctx| c.on_msg(&Msg::Begin, ctx.now, ctx));
-        for _ in 0..100 {
-            h.ctx_call(|c, ctx| c.on_tick(ctx));
-            if matches!(h.core.phase, Phase::AwaitAck { .. }) {
-                break;
-            }
-        }
-        assert!(
-            matches!(h.core.phase, Phase::AwaitAck { .. }),
-            "a session whose sends all fail still walks its schedule"
-        );
-        assert!(
-            h.core.send_errors() > 0,
-            "failed datagram sends must be tallied"
-        );
-        assert!(h.drain().is_empty(), "nothing reached the peer socket");
     }
 
     #[test]
     fn bye_ack_completes_the_session() {
         let mut h = Harness::new(1);
-        h.ctx_call(|c, ctx| c.start(ctx));
+        h.at(T0, |c, ctx| c.start(ctx));
         h.core.window = 1; // pretend the stream is done
-        h.ctx_call(|c, ctx| c.start_teardown(ctx));
-        let status = h.ctx_call(|c, ctx| c.on_msg(&Msg::ByeAck, ctx.now, ctx));
+        h.at(T0, |c, ctx| c.start_teardown(ctx));
+        let status = h.at(T0, |c, ctx| c.on_msg(&Msg::ByeAck, ctx.now, ctx));
         assert_eq!(status, Status::Finished);
+    }
+
+    /// A simulated transport or a virtual-time soak replays events into
+    /// the core, so the same script must give the same datagrams and
+    /// deadlines, byte for byte, on every run.
+    #[test]
+    fn replayed_events_produce_identical_datagrams_and_deadlines() {
+        let nack = Msg::CriticalNack(CriticalNackMsg {
+            window: 0,
+            missing: vec![0, 1],
+        });
+        let ack = Msg::WindowAck(WindowAckMsg {
+            ack_seq: 1,
+            window: 0,
+            echo_us: 7,
+            per_layer_burst: vec![2, 1],
+        });
+        // `(µs after the last step, datagram)`; `None` fires the next
+        // deadline. After each step the core is pumped at its own
+        // deadlines until its window closes, as the shard would.
+        let mut script = vec![(1_000, Some(&Msg::Begin)), (2_000, Some(&nack)), (0, None)];
+        script.push((500, Some(&ack)));
+        script.extend((0..2 * RetryPolicy::lan().max_attempts).map(|_| (0, None)));
+        fn wake(h: &mut Harness, now: &mut u64) {
+            *now = h.core.next_deadline().map_or(*now, |t| t.max(*now));
+            h.at(*now, |c, ctx| {
+                c.on_deadline(ctx);
+                c.on_tick(ctx)
+            });
+        }
+        let replay = || {
+            let mut h = Harness::with_fec(2, FecPolicy::rs(FecScope::All, 4, 2));
+            h.core.pace = Duration::from_micros(50);
+            let mut now = T0;
+            h.at(now, |c, ctx| c.start(ctx));
+            let (mut datagrams, mut deadlines) = (Vec::new(), Vec::new());
+            for &(dt, msg) in &script {
+                now += dt;
+                match msg {
+                    Some(msg) => _ = h.at(now, |c, ctx| c.on_msg(msg, now, ctx)),
+                    None => wake(&mut h, &mut now),
+                }
+                while matches!(h.core.phase, Phase::Sending) {
+                    wake(&mut h, &mut now);
+                }
+                h.out.drain(|d| datagrams.push(d.to_vec()));
+                deadlines.push(h.core.next_deadline());
+            }
+            assert!(
+                matches!(h.core.phase, Phase::Done),
+                "the script ends the session"
+            );
+            (datagrams, deadlines)
+        };
+        let first = replay();
+        assert_eq!(first, replay(), "replays must match byte for byte");
+        let msgs: Vec<Msg> = first.0.iter().map(|d| wire::decode(d).unwrap().1).collect();
+        let retransmit = |m: &Msg| matches!(m, Msg::Data(d) if d.fragment.retransmit);
+        assert!(msgs.iter().any(retransmit), "the NACK is served");
+        assert!(msgs.iter().any(|m| matches!(m, Msg::Parity(_))));
+        assert!(msgs
+            .iter()
+            .any(|m| matches!(m, Msg::Data(d) if d.fragment.window == 1)));
+        assert!(msgs.iter().any(|m| matches!(m, Msg::Bye(_))));
     }
 }

@@ -5,6 +5,8 @@
 //! the caller's thread — construct before spawning worker threads so
 //! tests can scope metrics with `with_current`.
 
+use std::net::{SocketAddr, UdpSocket};
+
 use espread_telemetry::{current, Counter, Histogram};
 
 /// Server-side socket and retry instruments.
@@ -108,20 +110,21 @@ impl ServerTelem {
         self.shard_wakeups.inc();
     }
 
-    #[inline]
-    pub(crate) fn on_tx(&self, bytes: usize) {
-        self.datagrams_tx.inc();
-        self.bytes_tx.add(bytes as u64);
+    /// The server's one counted send. A refused datagram is counted, so
+    /// local-stack refusal is told apart from network loss.
+    pub(crate) fn send_to(&self, socket: &UdpSocket, datagram: &[u8], to: SocketAddr) {
+        match socket.send_to(datagram, to) {
+            Ok(_) => {
+                self.datagrams_tx.inc();
+                self.bytes_tx.add(datagram.len() as u64);
+            }
+            Err(_) => self.send_errors.inc(),
+        }
     }
 
     #[inline]
     pub(crate) fn on_rx(&self) {
         self.datagrams_rx.inc();
-    }
-
-    #[inline]
-    pub(crate) fn on_send_error(&self) {
-        self.send_errors.inc();
     }
 
     #[inline]
