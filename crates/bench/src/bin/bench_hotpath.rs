@@ -4,17 +4,19 @@
 //! cargo run --release -p espread-bench --bin bench_hotpath
 //! ```
 //!
-//! Measures seven families against a floor operation each. Six are the
+//! Measures eight families against a floor operation each. Seven are the
 //! paths this repo's zero-alloc work keeps fast — k-CPO apply/invert
 //! through the order cache, layered order construction, wire
 //! encode/decode through the pooled scratch, a complete steady-state
 //! `NetWindow` reassembly lap, one planning round (`offer_ack` of a
 //! fresh ACK, the estimator update, and `plan_window` answered from the
-//! server's plan memo), and one RS(8,2) parity round (`encode_into` of a
+//! server's plan memo), one RS(8,2) parity round (`encode_into` of a
 //! group's two parity shards, then the client window's `recover_with` of
-//! two erasures through the byte decoder) — timed against one 1200-byte
+//! two erasures through the byte decoder), and one simulated paper window
+//! (25 × 2048-byte `send_data` over the §5.1 Gilbert link, then the
+//! `poll_data` drain of the in-flight ring) — timed against one 1200-byte
 //! `memcpy`, i.e. pure memory traffic with no bookkeeping at all. The
-//! seventh, `obs_record`,
+//! eighth, `obs_record`,
 //! is `FlightRecorder::record()` in its steady (overwriting) regime,
 //! timed against the work `record()` cannot avoid: one uncontended mutex
 //! lock, one monotonic clock read and one store.
@@ -36,6 +38,7 @@ use espread_core::{calculate_permutation_cached, LayeredOrder};
 use espread_fec::Codec;
 use espread_net::clientwin::{NetWindow, NetWindowOutcome, RecoverScratch};
 use espread_net::wire::{self, DataMsg, DecodeScratch, Msg, ParityMember, ParityMsg};
+use espread_netsim::{DuplexChannel, GilbertModel, Link, SimDuration, SimTime};
 use espread_obs::{data_detail, EventKind, FlightRecorder, Role, DEFAULT_CAPACITY};
 use espread_protocol::{Fragment, Ldu, ProtocolConfig, Server, WindowFeedback};
 use espread_trace::GopPattern;
@@ -245,9 +248,42 @@ fn main() -> ExitCode {
         0,
         "parity repairs both erasures"
     );
+
+    // Family 7: one simulated paper window — 25 frames offered at the
+    // window start over the 1.2 Mbps, P_bad = 0.6 Gilbert link, then the
+    // client's drain of everything that arrived by the deadline.
+    let mut channel: DuplexChannel<u64, ()> = DuplexChannel::new(
+        Link::new(
+            1_200_000,
+            SimDuration::from_micros(11_500),
+            GilbertModel::paper(0.6, 42),
+        ),
+        Link::new(
+            64_000,
+            SimDuration::from_micros(11_500),
+            GilbertModel::paper(0.6, 43),
+        ),
+    );
+    let mut sim_window = 0u64;
+    let netsim = measure(&mut memcpy, |_| {
+        let start = SimTime::from_micros(sim_window * 1_000_000);
+        for frame in 0..25 {
+            channel.send_data(start, 2048, sim_window * 25 + frame);
+        }
+        sim_window += 1;
+        let deadline = SimTime::from_micros(sim_window * 1_000_000 + 11_500);
+        for d in channel.poll_data(deadline) {
+            std::hint::black_box(d);
+        }
+    });
+    assert_eq!(
+        channel.data_quiescent_at(),
+        None,
+        "every window drains its arrivals"
+    );
     std::hint::black_box(&dst);
 
-    // Family 7: the flight recorder's record(), warmed past capacity so
+    // Family 8: the flight recorder's record(), warmed past capacity so
     // every measured call is in the steady (overwriting) regime the
     // recorder runs in for long sessions. Its floor: uncontended lock +
     // clock read + store.
@@ -283,6 +319,7 @@ fn main() -> ExitCode {
         ("hotpath.reassembly.ratio", netwin, "memcpy"),
         ("hotpath.plan.ratio", plan, "memcpy"),
         ("hotpath.fec.ratio", fec, "memcpy"),
+        ("hotpath.netsim.ratio", netsim, "memcpy"),
         ("hotpath.obs_record.ratio", record, "lock+clock+store"),
     ];
     println!("  medians of {TRIALS} trials, each family trial paired with a floor trial");

@@ -30,9 +30,9 @@ use crate::time::SimTime;
 /// );
 ///
 /// ch.send_data(SimTime::ZERO, 2048, "frame");
-/// let arrivals = ch.poll_data(SimTime::from_micros(30_000));
+/// let mut arrivals = ch.poll_data(SimTime::from_micros(30_000));
 /// assert_eq!(arrivals.len(), 1);
-/// assert_eq!(arrivals[0].packet.payload, "frame");
+/// assert_eq!(arrivals.next().unwrap().packet.payload, "frame");
 /// ```
 #[derive(Debug)]
 pub struct DuplexChannel<D, A> {
@@ -91,24 +91,17 @@ impl<D, A> DuplexChannel<D, A> {
         seq
     }
 
-    /// Data packets that have arrived at the client by `now`, in arrival
-    /// order.
-    pub fn poll_data(&mut self, now: SimTime) -> Vec<Delivery<D>> {
-        self.in_flight_data
-            .drain_until(now)
-            .into_iter()
-            .map(|(_, d)| d)
-            .collect()
+    /// Drains the data packets that have arrived at the client by `now`,
+    /// in arrival order. Arrivals the iterator has not yielded when it is
+    /// dropped are discarded.
+    pub fn poll_data(&mut self, now: SimTime) -> impl ExactSizeIterator<Item = Delivery<D>> + '_ {
+        self.in_flight_data.drain_until(now).map(|(_, d)| d)
     }
 
-    /// Feedback packets that have arrived at the server by `now`, in
-    /// arrival order.
-    pub fn poll_acks(&mut self, now: SimTime) -> Vec<Delivery<A>> {
-        self.in_flight_ack
-            .drain_until(now)
-            .into_iter()
-            .map(|(_, d)| d)
-            .collect()
+    /// Drains the feedback packets that have arrived at the server by
+    /// `now`, in arrival order, like [`DuplexChannel::poll_data`].
+    pub fn poll_acks(&mut self, now: SimTime) -> impl ExactSizeIterator<Item = Delivery<A>> + '_ {
+        self.in_flight_ack.drain_until(now).map(|(_, d)| d)
     }
 
     /// The earliest time a data packet offered at `now` would finish
@@ -153,8 +146,8 @@ mod tests {
         let s1 = ch.send_data(SimTime::ZERO, 1000, 43);
         assert_eq!((s0, s1), (0, 1));
         // Nothing has arrived yet at t=0.
-        assert!(ch.poll_data(SimTime::ZERO).is_empty());
-        let all = ch.poll_data(SimTime::from_micros(50_000));
+        assert_eq!(ch.poll_data(SimTime::ZERO).len(), 0);
+        let all: Vec<_> = ch.poll_data(SimTime::from_micros(50_000)).collect();
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].packet.payload, 42);
         assert_eq!(all[1].packet.payload, 43);
@@ -166,7 +159,7 @@ mod tests {
         let mut ch: DuplexChannel<(), &str> =
             DuplexChannel::new(lossless_link(1_000_000), lossless_link(64_000));
         ch.send_ack(SimTime::ZERO, 100, "window 0 feedback");
-        let acks = ch.poll_acks(SimTime::from_micros(100_000));
+        let acks: Vec<_> = ch.poll_acks(SimTime::from_micros(100_000)).collect();
         assert_eq!(acks.len(), 1);
         assert_eq!(acks[0].packet.payload, "window 0 feedback");
         assert_eq!(ch.reverse().stats().delivered, 1);
@@ -177,7 +170,7 @@ mod tests {
         let mut ch: DuplexChannel<u32, u32> =
             DuplexChannel::new(dead_link(1_000_000), lossless_link(64_000));
         ch.send_data(SimTime::ZERO, 1000, 7);
-        assert!(ch.poll_data(SimTime::from_micros(10_000_000)).is_empty());
+        assert_eq!(ch.poll_data(SimTime::from_micros(10_000_000)).len(), 0);
         assert_eq!(ch.forward().stats().lost, 1);
         assert_eq!(ch.data_quiescent_at(), None);
     }

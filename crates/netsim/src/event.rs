@@ -1,38 +1,18 @@
 //! A deterministic time-ordered event queue.
+//!
+//! Events leave in time order, and events scheduled for the same instant
+//! leave in the order they were scheduled. The queue is one ring kept
+//! sorted by time: [`EventQueue::schedule`] appends in O(1) when the new
+//! event is not earlier than the last one — always the case on a
+//! jitter-free FIFO [`Link`](crate::Link) — and otherwise walks back from
+//! the end, costing O(k) for an event that lands k places early. Popping
+//! and draining take from the front without allocating.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::vec_deque::{Drain, VecDeque};
 
 use crate::time::SimTime;
 
-struct Entry<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse for a min-heap; FIFO tie-break on insertion order.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// A min-heap of events ordered by time, with FIFO order among events
+/// A queue of events ordered by time, with FIFO order among events
 /// scheduled for the same instant — the determinism guarantee every
 /// simulation in this workspace relies on.
 ///
@@ -52,54 +32,53 @@ impl<E> Ord for Entry<E> {
 /// assert!(q.pop().is_none());
 /// ```
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    next_seq: u64,
+    ring: VecDeque<(SimTime, E)>,
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
+            ring: VecDeque::new(),
         }
     }
 
-    /// Schedules `event` to fire at `at`.
+    /// Schedules `event` to fire at `at`, after every pending event due
+    /// at or before `at`.
     pub fn schedule(&mut self, at: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry { at, seq, event });
+        let mut i = self.ring.len();
+        while i > 0 && self.ring[i - 1].0 > at {
+            i -= 1;
+        }
+        self.ring.insert(i, (at, event));
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| (e.at, e.event))
+        self.ring.pop_front()
     }
 
     /// The time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
+        self.ring.front().map(|&(at, _)| at)
     }
 
-    /// Removes and returns every event scheduled at or before `now`, in
-    /// order.
-    pub fn drain_until(&mut self, now: SimTime) -> Vec<(SimTime, E)> {
-        let mut out = Vec::new();
-        while self.peek_time().is_some_and(|t| t <= now) {
-            out.push(self.pop().expect("peeked"));
-        }
-        out
+    /// Removes every event scheduled at or before `now` and yields them in
+    /// order. Events the iterator has not yielded when it is dropped are
+    /// discarded.
+    pub fn drain_until(&mut self, now: SimTime) -> Drain<'_, (SimTime, E)> {
+        let due = self.ring.partition_point(|&(at, _)| at <= now);
+        self.ring.drain(..due)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.ring.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.ring.is_empty()
     }
 }
 
@@ -112,7 +91,7 @@ impl<E> Default for EventQueue<E> {
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("pending", &self.heap.len())
+            .field("pending", &self.ring.len())
             .field("next", &self.peek_time())
             .finish()
     }
@@ -139,11 +118,11 @@ mod tests {
         for t in [3u64, 1, 4, 1, 5, 9, 2, 6] {
             q.schedule(SimTime::from_micros(t), t);
         }
-        let early = q.drain_until(SimTime::from_micros(4));
-        assert_eq!(
-            early.iter().map(|(_, e)| *e).collect::<Vec<_>>(),
-            vec![1, 1, 2, 3, 4]
-        );
+        let early: Vec<u64> = q
+            .drain_until(SimTime::from_micros(4))
+            .map(|(_, e)| e)
+            .collect();
+        assert_eq!(early, vec![1, 1, 2, 3, 4]);
         assert_eq!(q.len(), 3);
         assert_eq!(q.peek_time(), Some(SimTime::from_micros(5)));
     }
@@ -154,7 +133,7 @@ mod tests {
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
         assert_eq!(q.peek_time(), None);
-        assert!(q.drain_until(SimTime::from_micros(100)).is_empty());
+        assert_eq!(q.drain_until(SimTime::from_micros(100)).len(), 0);
     }
 
     #[test]

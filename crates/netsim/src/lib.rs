@@ -32,8 +32,12 @@
 //! for frame in 0..24u64 {
 //!     channel.send_data(SimTime::ZERO, 2048, frame);
 //! }
-//! let arrived = channel.poll_data(SimTime::from_micros(2_000_000));
+//! let arrived: Vec<u64> = channel
+//!     .poll_data(SimTime::from_micros(2_000_000))
+//!     .map(|d| d.packet.payload)
+//!     .collect();
 //! assert!(arrived.len() <= 24); // some frames were lost in bursts
+//! assert!(arrived.windows(2).all(|w| w[0] < w[1])); // a FIFO link keeps send order
 //! ```
 
 #![forbid(unsafe_code)]

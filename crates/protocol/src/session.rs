@@ -319,10 +319,9 @@ impl Session {
                     // The server acts on the NACK when it arrives (if it
                     // survives the reverse path). Window ACKs drained in
                     // the same poll are fed to the estimator as usual.
-                    let nack_deliveries = channel.poll_acks(window_end);
                     let mut nacked: Vec<usize> = Vec::new();
                     let mut nack_seen_at = client_sees_critical;
-                    for d in nack_deliveries {
+                    for d in channel.poll_acks(window_end) {
                         match d.packet.payload {
                             FeedbackMsg::CriticalNack { window, missing } if window == w => {
                                 nacked = missing;
