@@ -43,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod anneal;
 pub mod bounds;
 pub mod burst;
 pub mod cache;
@@ -56,7 +55,6 @@ pub mod module;
 pub mod permutation;
 pub mod stochastic;
 
-pub use anneal::{optimize_order, OptimizedOrder};
 pub use bounds::{clf_lower_bound, theorem_one, TheoremOneBound};
 pub use burst::{
     burst_clf, burst_loss_pattern, clf_profile, multi_burst_lower_bound, try_burst_clf,

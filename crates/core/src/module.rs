@@ -241,6 +241,18 @@ mod tests {
     }
 
     #[test]
+    fn one_full_window_round_trips() {
+        let mut rx = Descrambler::new(12);
+        let mut tx = Scrambler::new(12, |_| 4);
+        let window = (0..12).fold(None, |_, i| tx.push(i)).expect("full window");
+        for s in window {
+            rx.accept(s);
+        }
+        let restored: Vec<i32> = rx.take_window(0).unwrap().into_iter().flatten().collect();
+        assert_eq!(restored, (0..12).collect::<Vec<_>>());
+    }
+
+    #[test]
     fn bursts_on_the_wire_spread_in_playout() {
         let mut tx = Scrambler::new(16, |_| 4);
         let mut rx = Descrambler::new(16);

@@ -10,7 +10,9 @@
 //! client ([`client`]) that un-permutes, measures per-layer loss bursts,
 //! and feeds them back in sequence-numbered ACKs, and a fault-injecting
 //! loopback proxy ([`proxy`]) whose seeded Gilbert–Elliott channel makes
-//! end-to-end loss realisations reproducible.
+//! end-to-end loss realisations reproducible. Both ends keep the protocol
+//! in sans-IO cores fed µs clock values, so tests run a whole session on
+//! an integer clock with no socket.
 //!
 //! Everything is `std::net` only — no external dependencies.
 //!
@@ -58,6 +60,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod clientcore;
 pub mod clientwin;
 pub mod error;
 pub mod obsrec;

@@ -80,6 +80,13 @@ pub(crate) struct OutQueue {
 }
 
 impl OutQueue {
+    /// Encodes `msg` for `conn_id` onto the end of the queue; `false`,
+    /// with nothing queued, when the message is too long for the wire.
+    pub(crate) fn push(&mut self, conn_id: u32, msg: &Msg) -> bool {
+        let span = wire::try_encode_append(conn_id, msg, &mut self.bytes);
+        span.map(|span| self.spans.push(span)).is_ok()
+    }
+
     /// Hands every queued datagram to `send`, in encode order, and
     /// empties the queue.
     pub(crate) fn drain(&mut self, mut send: impl FnMut(&[u8])) {
@@ -90,8 +97,8 @@ impl OutQueue {
     }
 }
 
-/// What a session call reads and writes: the clock, in µs since the
-/// server epoch, and the out-queue its sends append to.
+/// What a session or client call reads and writes: the clock, in µs
+/// since the caller's epoch, and the out-queue its sends append to.
 pub(crate) struct Ctx<'a> {
     pub now: u64,
     pub out: &'a mut OutQueue,
@@ -348,15 +355,14 @@ impl SessionCore {
     /// gap as loss.
     fn send(&mut self, ctx: &mut Ctx<'_>, msg: &Msg) {
         self.progress += 1;
-        let Ok(span) = wire::try_encode_append(self.conn_id, msg, &mut ctx.out.bytes) else {
+        if !ctx.out.push(self.conn_id, msg) {
             self.telem.on_encode_oversize();
             self.obs.refused_msg(self.conn_id, msg);
             return;
-        };
+        }
         // Record before the bytes hit the socket, so a matching delivery
         // on a shared clock can never timestamp earlier than its send.
         self.obs.sent_msg(self.conn_id, msg);
-        ctx.out.spans.push(span);
     }
 
     fn window_end(&self, now: u64, w: u64) -> Msg {

@@ -51,7 +51,6 @@ pub mod loss;
 pub mod metrics;
 pub mod perception;
 pub mod quality;
-pub mod timeline;
 pub mod window;
 
 pub use concealment::Concealment;
@@ -60,5 +59,4 @@ pub use loss::{LossPattern, LossRun};
 pub use metrics::{Alf, ContinuityMetrics};
 pub use perception::{Acceptability, PerceptionProfile};
 pub use quality::{score, QualityScore};
-pub use timeline::PlayoutTimeline;
 pub use window::{WindowSeries, WindowSummary};

@@ -1,14 +1,12 @@
 //! Supplementary edge-case coverage across crates.
 
 use error_spreading::core::{
-    anneal::optimize_order, burst::min_spread_gap, cpo::EXHAUSTIVE_LIMIT, k_cpo,
-    monte_carlo_series, Descrambler, Scrambler,
+    burst::min_spread_gap, cpo::EXHAUSTIVE_LIMIT, k_cpo, monte_carlo_series,
 };
 use error_spreading::prelude::*;
 use error_spreading::protocol::{
     negotiate, ClientCapabilities, FecPolicy, SessionOffer, WindowPlan,
 };
-use error_spreading::qos::{Acceptability, LduClock, LduId, PlayoutTimeline, StreamSpec};
 
 #[test]
 fn gop15_layer_structure() {
@@ -81,41 +79,6 @@ fn monte_carlo_series_length_and_range() {
     for m in series.windows() {
         assert_eq!(m.lost(), 6); // alternating process loses half
     }
-}
-
-#[test]
-fn local_search_composes_with_scrambler_windows() {
-    // An optimize_order result can drive a Scrambler round trip too.
-    let tuned = optimize_order(12, 4, 100, 5);
-    let mut rx = Descrambler::new(12);
-    let mut tx = Scrambler::new(12, |_| 4);
-    let window = (0..12).fold(None, |_, i| tx.push(i)).expect("full window");
-    for s in window {
-        rx.accept(s);
-    }
-    let restored: Vec<i32> = rx.take_window(0).unwrap().into_iter().flatten().collect();
-    assert_eq!(restored, (0..12).collect::<Vec<_>>());
-    assert!(tuned.worst_clf <= 4);
-}
-
-#[test]
-fn playout_timeline_integrates_with_perception() {
-    // Late arrivals push a stream over the perceptual threshold.
-    let clock = LduClock::new(StreamSpec::video(30), 1_000_000);
-    let mut timeline = PlayoutTimeline::new(clock);
-    for i in 0..30u64 {
-        // LDUs 10, 11, 12 arrive hopelessly late; the rest on time.
-        let arrival = if (10..13).contains(&i) {
-            5_000_000
-        } else {
-            500_000
-        };
-        timeline.record_arrival(LduId::new(i), arrival);
-    }
-    let pattern = timeline.window_pattern(LduId::new(0), 30);
-    let verdict =
-        PerceptionProfile::for_media(MediaKind::Video).judge(ContinuityMetrics::of(&pattern));
-    assert_eq!(verdict, Acceptability::TooBursty);
 }
 
 #[test]
