@@ -98,14 +98,20 @@ fn main() {
     println!("one ACK per buffer window, not to eke out extra CLF. The estimate itself does");
     println!("track the channel (see the adaptation integration tests).");
 
-    let stats = espread_core::spread_cache_stats();
-    println!(
-        "\norder cache: {} hits / {} misses ({} entries, hit rate {:.1}%)",
-        stats.hits,
-        stats.misses,
-        stats.entries,
-        stats.hit_rate() * 100.0
-    );
+    // Cache counters go to stderr: concurrent first misses make them vary
+    // from run to run, and stdout is a committed artifact.
+    for (name, stats) in [
+        ("plan cache", espread_protocol::plan_cache_stats()),
+        ("order cache", espread_core::spread_cache_stats()),
+    ] {
+        eprintln!(
+            "{name}: {} hits / {} misses ({} entries, hit rate {:.1}%)",
+            stats.hits,
+            stats.misses,
+            stats.entries,
+            stats.hit_rate() * 100.0
+        );
+    }
 
     sweep::write_results(
         "ablation_adaptation",

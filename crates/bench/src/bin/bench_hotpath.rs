@@ -10,7 +10,7 @@
 //! encode/decode through the pooled scratch, a complete steady-state
 //! `NetWindow` reassembly lap, one planning round (`offer_ack` of a
 //! fresh ACK, the estimator update, and `plan_window` answered from the
-//! server's plan memo), one RS(8,2) parity round (`encode_into` of a
+//! server's last plan), one RS(8,2) parity round (`encode_into` of a
 //! group's two parity shards, then the client window's `recover_with` of
 //! two erasures through the byte decoder), and one simulated paper window
 //! (25 × 2048-byte `send_data` over the §5.1 Gilbert link, then the
@@ -186,7 +186,7 @@ fn main() -> ExitCode {
     // Family 5: one planning round. Every ACK reports the server's
     // current estimates (the priors, half of each layer), so the
     // estimator update leaves them in place and each `plan_window`
-    // applies fresh feedback yet is answered from the plan memo.
+    // applies fresh feedback yet is answered from the server's last plan.
     let poset = GopPattern::gop12().dependency_poset(2, false);
     let mut server = Server::new(&ProtocolConfig::paper(0.6, 1), &poset);
     let steady = server.estimates();

@@ -49,10 +49,12 @@ fn print_cells(report: &InvariantReport, elapsed_s: f64) {
         println!("{line}");
     }
     println!(
-        "\n{} cells, {} violations in {elapsed_s:.1}s",
+        "\n{} cells, {} violations",
         report.cells.len(),
         report.violation_count(),
     );
+    // Wall-clock time goes to stderr, so stdout stays deterministic.
+    eprintln!("regime took {elapsed_s:.1}s");
 }
 
 fn main() -> ExitCode {

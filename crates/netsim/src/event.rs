@@ -46,7 +46,11 @@ impl<E> EventQueue<E> {
     /// Schedules `event` to fire at `at`, after every pending event due
     /// at or before `at`.
     pub fn schedule(&mut self, at: SimTime, event: E) {
-        let mut i = self.ring.len();
+        if self.ring.back().is_none_or(|&(last, _)| last <= at) {
+            self.ring.push_back((at, event));
+            return;
+        }
+        let mut i = self.ring.len() - 1;
         while i > 0 && self.ring[i - 1].0 > at {
             i -= 1;
         }
@@ -110,6 +114,19 @@ mod tests {
         q.schedule(SimTime::from_micros(9), 'd');
         let order: Vec<char> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, vec!['a', 'b', 'c', 'd']);
+    }
+
+    #[test]
+    fn appends_at_the_back_and_inserts_early_events_in_order() {
+        let mut q = EventQueue::new();
+        for (t, e) in [(1, 'a'), (4, 'b'), (4, 'c'), (7, 'd')] {
+            q.schedule(SimTime::from_micros(t), e); // not earlier: appended
+        }
+        q.schedule(SimTime::from_micros(7), 'e'); // equal to the back: after it
+        q.schedule(SimTime::from_micros(4), 'f'); // early: after the other 4s
+        q.schedule(SimTime::from_micros(0), 'g'); // earliest: at the front
+        let order: Vec<char> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec!['g', 'a', 'b', 'c', 'f', 'd', 'e']);
     }
 
     #[test]

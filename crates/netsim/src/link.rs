@@ -84,7 +84,12 @@ impl LinkStats {
 /// // 13.654 ms serialisation + 11 ms propagation.
 /// assert_eq!(delivery.arrived_at.as_micros(), 24_654);
 /// ```
-#[derive(Debug, Clone)]
+///
+/// The link publishes its packet counts to the
+/// `netsim.link.packets_{offered,delivered,lost}` counters of the registry
+/// current at its construction once, when it drops; a clone publishes
+/// only the packets it carried after the copy.
+#[derive(Debug)]
 pub struct Link {
     bandwidth_bps: u64,
     propagation: SimDuration,
@@ -160,11 +165,9 @@ impl Link {
         self.busy_until = departure;
         self.stats.offered += 1;
         self.stats.bytes_offered += u64::from(packet.size_bytes);
-        self.telem.on_offered();
         if self.loss.step_delivers(now, packet.size_bytes) {
             self.stats.delivered += 1;
             self.stats.bytes_delivered += u64::from(packet.size_bytes);
-            self.telem.on_delivered();
             let jitter = if self.jitter == SimDuration::ZERO {
                 SimDuration::ZERO
             } else {
@@ -176,7 +179,6 @@ impl Link {
             })
         } else {
             self.stats.lost += 1;
-            self.telem.on_lost();
             TransmitOutcome::Lost(packet)
         }
     }
@@ -184,6 +186,27 @@ impl Link {
     /// The time the link becomes idle.
     pub fn busy_until(&self) -> SimTime {
         self.busy_until
+    }
+}
+
+impl Clone for Link {
+    fn clone(&self) -> Self {
+        Link {
+            bandwidth_bps: self.bandwidth_bps,
+            propagation: self.propagation,
+            loss: self.loss.clone(),
+            busy_until: self.busy_until,
+            stats: self.stats,
+            jitter: self.jitter,
+            jitter_rng: self.jitter_rng.clone(),
+            telem: self.telem.fork(self.stats),
+        }
+    }
+}
+
+impl Drop for Link {
+    fn drop(&mut self) {
+        self.telem.publish(&self.stats);
     }
 }
 
@@ -252,6 +275,32 @@ mod tests {
         assert_eq!(s.bytes_delivered, 10_000);
         assert_eq!(s.bytes_offered, 10_000);
         assert_eq!(s.loss_rate(), 0.0);
+    }
+
+    #[test]
+    fn counters_are_published_once_per_packet_when_links_drop() {
+        let registry = espread_telemetry::Registry::new();
+        let counter = |name: &str| registry.snapshot().counter(name);
+        let send = |link: &mut Link, count: u64| {
+            for i in 0..count {
+                let _ = link.transmit(SimTime::ZERO, Packet::new(i, 100, SimTime::ZERO, ()));
+            }
+        };
+        let mut link = espread_telemetry::with_current(&registry, || {
+            Link::new(1_000_000, SimDuration::ZERO, lossy_all())
+        });
+        send(&mut link, 3);
+        let mut copy = link.clone();
+        send(&mut copy, 2);
+        assert_eq!(copy.stats().lost, 5, "a clone keeps the stats it copied");
+        assert_eq!(counter("netsim.link.packets_offered"), Some(0));
+        drop(link);
+        assert_eq!(counter("netsim.link.packets_offered"), Some(3));
+        drop(copy);
+        // The copy publishes only the two packets it carried itself.
+        assert_eq!(counter("netsim.link.packets_offered"), Some(5));
+        assert_eq!(counter("netsim.link.packets_lost"), Some(5));
+        assert_eq!(counter("netsim.link.packets_delivered"), Some(0));
     }
 
     #[test]

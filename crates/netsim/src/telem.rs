@@ -1,7 +1,10 @@
 //! Simulator instruments: handles resolved at construction, so the
-//! simulator structs embed one field and record with one atomic.
+//! simulator structs embed one field and record without a registry
+//! lookup.
 
 use espread_telemetry::{current, Counter, Histogram};
+
+use crate::link::LinkStats;
 
 /// Tracks loss runs and records each completed burst's length into the
 /// current registry's `netsim.gilbert.burst_len` histogram (handles are
@@ -35,12 +38,17 @@ impl BurstTracker {
     }
 }
 
-/// Per-link counters mirrored into the current registry.
-#[derive(Debug, Clone)]
+/// Per-link counters, published into the registry current at the link's
+/// construction once, when the link drops: the link's own [`LinkStats`]
+/// already count every packet, so the hot path touches no shared atomic.
+#[derive(Debug)]
 pub struct LinkTelem {
     offered: Counter,
     delivered: Counter,
     lost: Counter,
+    /// The stats the link stood at when these handles were made: nonzero
+    /// only for a clone, whose original publishes them.
+    inherited: LinkStats,
 }
 
 impl LinkTelem {
@@ -50,21 +58,26 @@ impl LinkTelem {
             offered: g.counter("netsim.link.packets_offered"),
             delivered: g.counter("netsim.link.packets_delivered"),
             lost: g.counter("netsim.link.packets_lost"),
+            inherited: LinkStats::default(),
         }
     }
 
-    #[inline]
-    pub(crate) fn on_offered(&self) {
-        self.offered.inc();
+    /// Handles for a copy of a link whose stats stand at `stats`: the
+    /// copy publishes only the packets it carries itself.
+    pub(crate) fn fork(&self, stats: LinkStats) -> Self {
+        LinkTelem {
+            offered: self.offered.clone(),
+            delivered: self.delivered.clone(),
+            lost: self.lost.clone(),
+            inherited: stats,
+        }
     }
 
-    #[inline]
-    pub(crate) fn on_delivered(&self) {
-        self.delivered.inc();
-    }
-
-    #[inline]
-    pub(crate) fn on_lost(&self) {
-        self.lost.inc();
+    /// Adds the packets counted in `stats` since these handles were made.
+    pub(crate) fn publish(&self, stats: &LinkStats) {
+        self.offered.add(stats.offered - self.inherited.offered);
+        self.delivered
+            .add(stats.delivered - self.inherited.delivered);
+        self.lost.add(stats.lost - self.inherited.lost);
     }
 }

@@ -113,6 +113,32 @@ proptest! {
         }
     }
 
+    /// Events timed like a link's arrivals — departures that never go
+    /// back plus up to `jitter` µs each — take the queue's append path
+    /// whenever they are not earlier than the last pending event and land
+    /// early otherwise; either way every drain yields a stable sort by
+    /// time. Jitter 0 is the FIFO link (append only, equal times common).
+    #[test]
+    fn event_queue_appends_and_inserts_like_a_stable_sort(
+        jitter in prop_oneof![Just(0u64), 1u64..200],
+        steps in prop::collection::vec((0u64..30, any::<u64>(), any::<bool>()), 1..150),
+    ) {
+        let mut q = EventQueue::new();
+        let mut live: Vec<(SimTime, usize)> = Vec::new();
+        let mut departure = 0;
+        for (id, &(gap, draw, poll)) in steps.iter().enumerate() {
+            departure += gap;
+            let at = SimTime::from_micros(departure + draw % (jitter + 1));
+            q.schedule(at, id);
+            live.push((at, id));
+            if poll {
+                check_drain(&mut q, &mut live, SimTime::from_micros(departure))?;
+            }
+        }
+        check_drain(&mut q, &mut live, SimTime::from_micros(u64::MAX / 2))?;
+        prop_assert!(q.is_empty());
+    }
+
     /// On a jittered (reordering) link, each `poll_data` yields exactly the
     /// deliveries due by then, stably sorted by arrival time.
     #[test]
@@ -186,6 +212,22 @@ fn check_poll(
     prop_assert_eq!(polled.len(), expected.len());
     let polled: Vec<_> = polled.map(|d| (d.packet.seq, d.arrived_at)).collect();
     prop_assert_eq!(polled, expected);
+    Ok(())
+}
+
+/// Drains `q` at `now` and checks the events against `live`, the pending
+/// `(time, id)` entries in schedule order: the drain must yield those due
+/// by `now`, stably sorted by time.
+fn check_drain(
+    q: &mut EventQueue<usize>,
+    live: &mut Vec<(SimTime, usize)>,
+    now: SimTime,
+) -> Result<(), TestCaseError> {
+    let mut expected: Vec<_> = live.iter().copied().filter(|&(t, _)| t <= now).collect();
+    expected.sort_by_key(|&(t, _)| t);
+    live.retain(|&(t, _)| t > now);
+    let drained: Vec<_> = q.drain_until(now).collect();
+    prop_assert_eq!(drained, expected);
     Ok(())
 }
 

@@ -63,9 +63,9 @@ impl LayerInfo {
 ///
 /// Besides the public schedule and layer table, a plan carries summaries
 /// [`WindowPlan::build`] derives once — the sorted critical frames, the
-/// layer sizes and each layer's inverse order — so a plan reused across
-/// windows (see [`crate::Server::plan_window`]) answers them without
-/// allocating.
+/// layer sizes and each layer's worst-burst table — so a plan reused
+/// across windows and sessions (see [`crate::Server::plan_window`])
+/// answers them without allocating.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowPlan {
     /// Frames in the order they are offered to the network.
@@ -81,9 +81,9 @@ pub struct WindowPlan {
     critical: Vec<usize>,
     /// `layers[l].frames.len()` for every layer.
     sizes: Vec<usize>,
-    /// Per layer, the inverse of its order: entry `p` is the layer slot
-    /// that carries layer-local playout position `p`.
-    slot_of: Vec<Vec<usize>>,
+    /// Per layer, [`worst_burst_clf`] of its order: entry `b` is the worst
+    /// CLF a `b`-slot burst over the layer can cause, for `b` in `0..=n`.
+    worst: Vec<Vec<usize>>,
 }
 
 impl WindowPlan {
@@ -195,16 +195,7 @@ impl WindowPlan {
             _ => critical.len(),
         };
         let sizes = layers.iter().map(|l| l.frames.len()).collect();
-        let slot_of = layers
-            .iter()
-            .map(|l| {
-                let mut inverse = vec![0; l.order.len()];
-                for (slot, &local) in l.order.iter().enumerate() {
-                    inverse[local] = slot;
-                }
-                inverse
-            })
-            .collect();
+        let worst = layers.iter().map(|l| worst_burst_clf(&l.order)).collect();
 
         WindowPlan {
             schedule,
@@ -212,7 +203,7 @@ impl WindowPlan {
             critical_prefix,
             critical,
             sizes,
-            slot_of,
+            worst,
         }
     }
 
@@ -237,32 +228,48 @@ impl WindowPlan {
     /// maximum over layers with a nonzero burst `b` of the maximum over
     /// every start of [`LayerInfo::projected_clf`]`(start, b)`, bursts
     /// truncated at the layer end. `None` when no layer has a nonzero
-    /// burst and frames to lose. Reads the precomputed inverse orders,
-    /// so it neither allocates nor re-validates a permutation.
+    /// burst and frames to lose. One lookup per layer in the tables
+    /// `build` precomputed.
     pub fn worst_projected_clf(&self, observed_bursts: &[usize]) -> Option<usize> {
-        self.slot_of
+        self.worst
             .iter()
             .zip(observed_bursts)
-            .filter(|&(_, &b)| b > 0)
-            .filter_map(|(slot_of, &b)| {
-                let n = slot_of.len();
-                (0..n)
-                    .map(|start| {
-                        // Playout positions whose slot the burst covers,
-                        // scanned in playout order: the longest run of
-                        // covered positions is the burst's CLF.
-                        let lost = start..start.saturating_add(b).min(n);
-                        let (mut run, mut worst) = (0, 0);
-                        for slot in slot_of {
-                            run = if lost.contains(slot) { run + 1 } else { 0 };
-                            worst = worst.max(run);
-                        }
-                        worst
-                    })
-                    .max()
-            })
+            .filter(|&(worst, &b)| b > 0 && worst.len() > 1)
+            .map(|(worst, &b)| worst[b.min(worst.len() - 1)])
             .max()
     }
+}
+
+/// The worst CLF a burst of `b` consecutive slots can cause under
+/// `order` (entry `slot` is the layer-local playout position sent at that
+/// slot), for every `b` in `0..=n`.
+///
+/// Entry `b` is the longest run of consecutive playout positions whose
+/// slots span at most `b` (largest slot − smallest slot + 1). That is the
+/// answer of scanning every burst start: a burst starting at a run's
+/// smallest slot covers the whole run, and truncating a burst at the
+/// layer end covers no further position. O(n²): a running slot min/max
+/// over every position interval, then a prefix max over `b`.
+fn worst_burst_clf(order: &[usize]) -> Vec<usize> {
+    let n = order.len();
+    let mut slot_of = vec![0; n];
+    for (slot, &local) in order.iter().enumerate() {
+        slot_of[local] = slot;
+    }
+    let mut worst = vec![0; n + 1];
+    for first in 0..n {
+        let (mut lo, mut hi) = (slot_of[first], slot_of[first]);
+        for (run, &slot) in slot_of[first..].iter().enumerate() {
+            lo = lo.min(slot);
+            hi = hi.max(slot);
+            let span = hi - lo + 1;
+            worst[span] = worst[span].max(run + 1);
+        }
+    }
+    for b in 1..=n {
+        worst[b] = worst[b].max(worst[b - 1]);
+    }
+    worst
 }
 
 #[cfg(test)]
@@ -354,27 +361,57 @@ mod tests {
         assert_eq!(plan.layers[4].burst_bound, 16);
     }
 
+    /// The per-start projection the plan's tables replace: for every
+    /// burst start, the longest run of playout positions whose slot the
+    /// (truncated) burst covers.
+    fn scanned_worst_clf(order: &[usize], b: usize) -> Option<usize> {
+        let n = order.len();
+        let mut slot_of = vec![0; n];
+        for (slot, &local) in order.iter().enumerate() {
+            slot_of[local] = slot;
+        }
+        (0..n)
+            .map(|start| {
+                let lost = start..start.saturating_add(b).min(n);
+                let (mut run, mut worst) = (0, 0);
+                for slot in &slot_of {
+                    run = if lost.contains(slot) { run + 1 } else { 0 };
+                    worst = worst.max(run);
+                }
+                worst
+            })
+            .max()
+    }
+
     /// `worst_projected_clf` against its definition — the maximum over
-    /// every start of [`LayerInfo::projected_clf`] — for every layer
-    /// length up to 40, every sizing bound and every burst length,
+    /// every start of the per-start projection [`try_burst_clf`] that
+    /// [`LayerInfo::projected_clf`] wraps — and against the
+    /// per-start scan, for every layer length up to 40, every sizing
+    /// bound, the IBO and in-order layer orders, and every burst length,
     /// including bursts longer than the layer.
     #[test]
     fn worst_projected_clf_matches_the_per_start_projection_exhaustively() {
         for n in 0..=40 {
             let poset = Poset::antichain(n);
-            for bound in 1..=n.max(1) {
-                let plan = WindowPlan::build(Ordering::spread(), &poset, &[bound]);
+            let spread = (1..=n.max(1)).map(|bound| (Ordering::spread(), bound));
+            let fixed = [(Ordering::Ibo, 0), (Ordering::InOrder, 0)];
+            for (ordering, bound) in spread.chain(fixed) {
+                let plan = WindowPlan::build(ordering, &poset, &[bound]);
                 let layer = plan.layers.first();
                 assert_eq!(layer.map(|l| l.burst_bound), (n > 0).then_some(bound));
+                // `LayerInfo::projected_clf` with its permutation built once.
+                let perm = layer.map(|l| Permutation::from_vec(l.order.clone()).unwrap());
                 for b in 0..=n + 3 {
-                    let expected = layer
+                    let expected = perm
+                        .as_ref()
                         .filter(|_| b > 0)
-                        .and_then(|l| (0..n).filter_map(|s| l.projected_clf(s, b)).max());
-                    assert_eq!(
-                        plan.worst_projected_clf(&[b]),
-                        expected,
-                        "n={n} bound={bound} b={b}"
-                    );
+                        .and_then(|p| (0..n).filter_map(|s| try_burst_clf(p, s, b)).max());
+                    let scanned = layer
+                        .filter(|_| b > 0)
+                        .and_then(|l| scanned_worst_clf(&l.order, b));
+                    let got = plan.worst_projected_clf(&[b]);
+                    assert_eq!(got, expected, "{ordering} n={n} bound={bound} b={b}");
+                    assert_eq!(got, scanned, "{ordering} n={n} bound={bound} b={b}");
                 }
             }
         }

@@ -70,7 +70,7 @@ pub use negotiation::{
     SessionOffer,
 };
 pub use packetize::{Fragment, InvalidLduSize, Ldu, ParityGrouper};
-pub use server::{AdaptationRecord, Server};
+pub use server::{plan_cache_stats, AdaptationRecord, Server};
 pub use session::{Session, SessionReport};
 pub use source::StreamSource;
 pub use timing::{TimingAccumulator, TimingStats};

@@ -6,14 +6,14 @@
 //! estimators (eq. 1) and generates the window's transmission plan.
 //!
 //! The rounded estimates revisit the same handful of values constantly,
-//! so the server memoizes its plans by the estimate vector they were
-//! built from: a window whose estimates match an earlier window's reuses
-//! that window's [`WindowPlan`] instead of rebuilding it.
+//! across windows and across sessions, so plans come from one
+//! process-wide cache keyed by everything a plan is built from (see
+//! [`plan_cache_stats`]). A server keeps its last plan: a window whose
+//! estimates did not move reuses it without touching the cache.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use espread_core::BurstEstimator;
+use espread_core::{BurstEstimator, CacheStats, OrderCache};
 use espread_poset::Poset;
 
 use crate::config::{Ordering, ProtocolConfig};
@@ -35,29 +35,61 @@ pub struct AdaptationRecord {
     pub new_estimates: Vec<f64>,
 }
 
-/// Plans one [`Server`] memoizes before it starts over. Distinct
-/// estimate vectors are few (each entry is bounded by its layer's
-/// length), so the bound only stops a pathological feedback stream from
-/// growing the memo without limit; clearing it when full is enough.
-const PLAN_MEMO_CAP: usize = 64;
+/// Everything [`WindowPlan::build`] reads: a plan is a pure function of
+/// its key, so every server, session and sweep worker may share it.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct PlanKey {
+    ordering: Ordering,
+    poset_fingerprint: u64,
+    poset_len: usize,
+    /// The bounded per-layer estimates; empty for orderings that ignore
+    /// them.
+    estimates: Vec<usize>,
+}
+
+type PlanCache = OrderCache<PlanKey, WindowPlan>;
+
+/// The process-wide plan cache: the same bounded LRU memo as the order
+/// caches, at their default capacity.
+fn plan_cache() -> &'static PlanCache {
+    static CACHE: OnceLock<PlanCache> = OnceLock::new();
+    CACHE.get_or_init(|| {
+        OrderCache::new(
+            "protocol.plan_cache.hits",
+            "protocol.plan_cache.misses",
+            "protocol.plan_cache.evictions",
+        )
+    })
+}
+
+/// The plan for `key`, built on a miss from `poset` (which `key`
+/// fingerprints).
+fn cached_plan(cache: &PlanCache, key: &PlanKey, poset: &Poset) -> Arc<WindowPlan> {
+    cache.get_or_compute(key.clone(), || {
+        WindowPlan::build(key.ordering, poset, &key.estimates)
+    })
+}
+
+/// Counters of the process-wide window-plan cache
+/// (`protocol.plan_cache.{hits,misses,evictions}` in telemetry).
+pub fn plan_cache_stats() -> CacheStats {
+    plan_cache().stats()
+}
 
 /// Server state across buffer windows.
 #[derive(Debug, Clone)]
 pub struct Server {
-    ordering: Ordering,
     estimators: Vec<BurstEstimator>,
     layer_sizes: Vec<usize>,
     acks: AckTracker,
     last_applied_window: Option<u64>,
     last_adaptation: Option<AdaptationRecord>,
-    /// Fingerprint of the poset given to [`Server::new`], which every
-    /// [`Server::plan_window`] call must pass again.
-    poset_fingerprint: u64,
-    /// The memo key of the window being planned (reused buffer).
-    key: Vec<usize>,
-    /// Plans by the estimates they were built from; empty keys for
-    /// orderings that ignore the estimates.
-    plans: HashMap<Vec<usize>, Arc<WindowPlan>>,
+    /// The key of `plan`; its poset fingerprint is that of the poset
+    /// given to [`Server::new`], which every [`Server::plan_window`] call
+    /// must pass again.
+    key: PlanKey,
+    /// The plan last returned, reused while the estimates stay put.
+    plan: Option<Arc<WindowPlan>>,
 }
 
 impl Server {
@@ -82,15 +114,18 @@ impl Server {
             })
             .collect();
         Server {
-            ordering: config.ordering,
             estimators,
             layer_sizes,
             acks: AckTracker::new(),
             last_applied_window: None,
             last_adaptation: None,
-            poset_fingerprint: poset.fingerprint(),
-            key: Vec::new(),
-            plans: HashMap::new(),
+            key: PlanKey {
+                ordering: config.ordering,
+                poset_fingerprint: poset.fingerprint(),
+                poset_len: poset.len(),
+                estimates: Vec::new(),
+            },
+            plan: None,
         }
     }
 
@@ -117,15 +152,15 @@ impl Server {
     /// returns the transmission plan.
     ///
     /// `poset` must be the poset given to [`Server::new`] (checked in
-    /// debug builds): plans are memoized by their estimates alone. The
-    /// returned plan equals `WindowPlan::build(ordering, poset,
-    /// &self.estimates())`; on a repeat of earlier estimates it is the
-    /// earlier plan, shared, and planning without fresh feedback then
-    /// allocates nothing.
+    /// debug builds). The returned plan equals `WindowPlan::build(ordering,
+    /// poset, &self.estimates())`. While the estimates stay put it is the
+    /// last plan again, with no lock and no allocation; otherwise it comes
+    /// from the process-wide plan cache, shared with every server that
+    /// planned the same key.
     pub fn plan_window(&mut self, poset: &Poset) -> Arc<WindowPlan> {
         debug_assert_eq!(
             poset.fingerprint(),
-            self.poset_fingerprint,
+            self.key.poset_fingerprint,
             "plan_window needs the poset the server was created with"
         );
         self.last_adaptation = None;
@@ -154,21 +189,29 @@ impl Server {
                 });
             }
         }
-        self.key.clear();
-        if self.ordering.is_adaptive() {
+        // The key is all `build` reads of the estimates: orderings that
+        // ignore them plan from the empty key alike.
+        let adaptive = self.key.ordering.is_adaptive();
+        if let Some(plan) = &self.plan {
+            let unmoved = !adaptive
+                || self
+                    .key
+                    .estimates
+                    .iter()
+                    .copied()
+                    .eq(bounded(&self.estimators, &self.layer_sizes));
+            if unmoved {
+                return Arc::clone(plan);
+            }
+        }
+        self.key.estimates.clear();
+        if adaptive {
             self.key
+                .estimates
                 .extend(bounded(&self.estimators, &self.layer_sizes));
         }
-        if let Some(plan) = self.plans.get(self.key.as_slice()) {
-            return Arc::clone(plan);
-        }
-        // The key is all `build` reads of the estimates: orderings that
-        // ignore them build from the empty key alike.
-        let plan = Arc::new(WindowPlan::build(self.ordering, poset, &self.key));
-        if self.plans.len() >= PLAN_MEMO_CAP {
-            self.plans.clear();
-        }
-        self.plans.insert(self.key.clone(), Arc::clone(&plan));
+        let plan = cached_plan(plan_cache(), &self.key, poset);
+        self.plan = Some(Arc::clone(&plan));
         plan
     }
 
@@ -291,7 +334,7 @@ mod tests {
     }
 
     #[test]
-    fn repeated_estimates_reuse_the_memoized_plan() {
+    fn repeated_estimates_reuse_the_cached_plan() {
         let (config, poset) = setup();
         let mut server = Server::new(&config, &poset);
         let ack = |server: &mut Server, seq: u64, b: usize| {
@@ -311,6 +354,91 @@ mod tests {
         assert_eq!(moved.layers[4].burst_bound, 4);
         ack(&mut server, 2, 12); // 4 → 8: the prior's plan again
         assert!(Arc::ptr_eq(&prior, &server.plan_window(&poset)));
+    }
+
+    #[test]
+    fn servers_with_one_config_share_their_plans() {
+        let (config, poset) = setup();
+        let mut a = Server::new(&config, &poset);
+        let mut b = Server::new(&config, &GopPattern::gop12().dependency_poset(2, false));
+        assert!(Arc::ptr_eq(&a.plan_window(&poset), &b.plan_window(&poset)));
+        for server in [&mut a, &mut b] {
+            server.offer_ack(
+                1,
+                WindowFeedback {
+                    window: 0,
+                    per_layer_burst: vec![1, 1, 1, 1, 2],
+                },
+            );
+        }
+        let (pa, pb) = (a.plan_window(&poset), b.plan_window(&poset));
+        assert!(Arc::ptr_eq(&pa, &pb));
+        assert_eq!(
+            *pa,
+            WindowPlan::build(config.ordering, &poset, &a.estimates())
+        );
+    }
+
+    #[test]
+    fn distinct_keys_never_share_a_plan() {
+        let (config, poset) = setup();
+        let other_poset = GopPattern::gop12().dependency_poset(1, false);
+        let mut plans = Vec::new();
+        for ordering in [
+            Ordering::spread(),
+            Ordering::Spread { adaptive: false },
+            Ordering::Ibo,
+            Ordering::InOrder,
+        ] {
+            for p in [&poset, &other_poset] {
+                let config = config.clone().with_ordering(ordering);
+                plans.push(Server::new(&config, p).plan_window(p));
+            }
+        }
+        // A moved estimate is a third kind of key.
+        let mut server = Server::new(&config, &poset);
+        server.offer_ack(
+            1,
+            WindowFeedback {
+                window: 0,
+                per_layer_burst: vec![1, 1, 1, 1, 0],
+            },
+        );
+        plans.push(server.plan_window(&poset));
+        for (i, a) in plans.iter().enumerate() {
+            for b in &plans[i + 1..] {
+                assert!(!Arc::ptr_eq(a, b), "plans {i} and a later one share");
+            }
+        }
+    }
+
+    #[test]
+    fn plan_cache_respects_its_capacity() {
+        assert_eq!(
+            plan_cache().capacity(),
+            espread_core::DEFAULT_CACHE_CAPACITY
+        );
+        let (_, poset) = setup();
+        let cache = PlanCache::with_capacity(4, "t.hit", "t.miss", "t.evict");
+        let key = |b: usize| PlanKey {
+            ordering: Ordering::spread(),
+            poset_fingerprint: poset.fingerprint(),
+            poset_len: poset.len(),
+            estimates: vec![1, 1, 1, 1, b],
+        };
+        for b in 1..=12 {
+            let plan = cached_plan(&cache, &key(b), &poset);
+            assert_eq!(plan.layers[4].burst_bound, b);
+            assert!(cache.stats().entries <= 4, "flooded past capacity at b={b}");
+        }
+        assert_eq!(cache.stats().evictions, 8);
+        // An evicted key builds its plan again, equal to the first.
+        let again = cached_plan(&cache, &key(1), &poset);
+        assert_eq!(
+            *again,
+            WindowPlan::build(Ordering::spread(), &poset, &key(1).estimates)
+        );
+        assert_eq!(cache.stats().misses, 13);
     }
 
     #[test]

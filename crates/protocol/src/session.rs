@@ -24,6 +24,8 @@
 //! Both directions ride lossy links; the same seed reproduces the same
 //! loss realisation, so schemes can be compared on identical channels.
 
+use std::time::Instant;
+
 use espread_netsim::{
     DropTailQueue, DuplexChannel, GilbertModel, Link, LossProcess, SimDuration, SimTime,
 };
@@ -188,19 +190,16 @@ impl Session {
             let window_start = SimTime::ZERO + SimDuration::from_micros(cycle.as_micros() * w);
             let window_end = window_start + cycle;
 
-            // 1. Server reads feedback that has arrived by now.
-            {
-                let _span = self.telem.feedback_ns.start_timer();
-                for d in channel.poll_acks(window_start) {
-                    if let FeedbackMsg::WindowAck(fb) = d.packet.payload {
-                        server.offer_ack(d.packet.seq, fb);
-                    }
+            // 1. Server reads feedback that has arrived by now, then plans.
+            let start = Instant::now();
+            for d in channel.poll_acks(window_start) {
+                if let FeedbackMsg::WindowAck(fb) = d.packet.payload {
+                    server.offer_ack(d.packet.seq, fb);
                 }
             }
-            let plan = {
-                let _span = self.telem.plan_ns.start_timer();
-                server.plan_window(&self.source.poset)
-            };
+            let fed = Instant::now();
+            let plan = server.plan_window(&self.source.poset);
+            self.telem.feedback_and_plan(start, fed, Instant::now());
             if let Some(record) = server.take_last_adaptation() {
                 // Project the observed bursts through the freshly planned
                 // orders: the worst CLF the new plan would admit if each

@@ -1,6 +1,8 @@
 //! Session instruments: handles resolved once per run, so the session
 //! loop records without registry lookups.
 
+use std::time::Instant;
+
 use espread_telemetry::{current, Counter, Event, Gauge, Histogram, Registry};
 
 use crate::server::AdaptationRecord;
@@ -10,8 +12,8 @@ use crate::server::AdaptationRecord;
 pub struct SessionTelem {
     registry: Registry,
     /// Span histograms of the session loop's three server phases.
-    pub(crate) feedback_ns: Histogram,
-    pub(crate) plan_ns: Histogram,
+    feedback_ns: Histogram,
+    plan_ns: Histogram,
     pub(crate) send_ns: Histogram,
     alf: Gauge,
     clf: Gauge,
@@ -41,6 +43,15 @@ impl SessionTelem {
     /// override when one is installed, else the process-wide global.
     pub(crate) fn default_global() -> Self {
         Self::new(current())
+    }
+
+    /// Records the feedback and plan spans from three shared stamps:
+    /// feedback runs from `start` to `fed`, planning from `fed` to
+    /// `planned`.
+    #[inline]
+    pub(crate) fn feedback_and_plan(&self, start: Instant, fed: Instant, planned: Instant) {
+        self.feedback_ns.record((fed - start).as_nanos() as u64);
+        self.plan_ns.record((planned - fed).as_nanos() as u64);
     }
 
     /// Records one finished window: ALF/CLF gauges plus a

@@ -44,9 +44,9 @@ proptest! {
         prop_assert!(plan.critical_prefix <= plan.schedule.len());
     }
 
-    /// The server's plan memo is invisible: whatever the ACK sequence
-    /// (fresh, repeated or reordered feedback, windows without any), every
-    /// memoized plan equals a fresh build from the server's estimates, and
+    /// The plan cache is invisible: whatever the ACK sequence (fresh,
+    /// repeated or reordered feedback, windows without any), every cached
+    /// plan equals a fresh build from the server's estimates, and
     /// its worst projected CLF equals the per-start projection's maximum.
     #[test]
     fn memoized_plans_equal_fresh_builds(

@@ -2,9 +2,10 @@
 //! records adaptation events, per-window ALF/CLF gauges, and span
 //! histograms, all observable through the in-memory sink.
 
-use espread_protocol::{ProtocolConfig, Session, StreamSource};
+use espread_netsim::DropTailConfig;
+use espread_protocol::{LossModel, ProtocolConfig, Session, StreamSource};
 use espread_telemetry::sink::{InMemorySink, Sink};
-use espread_telemetry::{Event, Registry};
+use espread_telemetry::{with_current, Event, Registry};
 use espread_trace::{Movie, MpegTrace};
 
 const WINDOWS: usize = 10;
@@ -126,4 +127,40 @@ fn adaptation_events_round_trip_through_json_sink() {
         .lines()
         .any(|l| l.contains("\"type\":\"event\"") && l.contains("\"adaptation\"")));
     assert!(json.lines().any(|l| l.contains("protocol.window.alf")));
+}
+
+/// The simulated links publish their packet counts once, when they drop:
+/// after a session the registry's `netsim.link.packets_*` are the sum of
+/// both links' stats. The forward link loses at a drop-tail bottleneck and
+/// the feedback link is lossless, so its share is one ACK per window.
+#[test]
+fn link_counters_sum_both_links_stats() {
+    let registry = Registry::new();
+    let mut config = ProtocolConfig::paper(0.6, 42)
+        .with_loss_model(LossModel::DropTail(DropTailConfig::paper_like()));
+    // The Gilbert parameters drive only the feedback path here.
+    config.p_good = 1.0;
+    config.p_bad = 0.0;
+    let trace = MpegTrace::new(Movie::JurassicPark, 1);
+    let source = StreamSource::mpeg(&trace, 2, WINDOWS, false);
+    let report = with_current(&registry, || Session::new(config, source).run());
+    assert!(
+        report.packets_lost > 0,
+        "the bottleneck must drop something"
+    );
+
+    let snap = registry.snapshot();
+    let acks = WINDOWS as u64;
+    assert_eq!(
+        snap.counter("netsim.link.packets_offered"),
+        Some(report.packets_offered + acks)
+    );
+    assert_eq!(
+        snap.counter("netsim.link.packets_delivered"),
+        Some(report.packets_offered - report.packets_lost + acks)
+    );
+    assert_eq!(
+        snap.counter("netsim.link.packets_lost"),
+        Some(report.packets_lost)
+    );
 }
