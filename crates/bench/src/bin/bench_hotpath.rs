@@ -8,7 +8,7 @@
 //! paths this repo's zero-alloc work keeps fast — k-CPO apply/invert
 //! through the order cache, layered order construction, wire
 //! encode/decode through the pooled scratch, a complete steady-state
-//! `NetWindow` reassembly lap, one planning round (`offer_ack` of a
+//! `ClientWindow` reassembly lap, one planning round (`offer_ack` of a
 //! fresh ACK, the estimator update, and `plan_window` answered from the
 //! server's last plan), one RS(8,2) parity round (`encode_into` of a
 //! group's two parity shards, then the client window's `recover_with` of
@@ -36,10 +36,11 @@ use std::time::Instant;
 use espread_bench::gate;
 use espread_core::{calculate_permutation_cached, LayeredOrder};
 use espread_fec::Codec;
-use espread_net::clientwin::{NetWindow, NetWindowOutcome, RecoverScratch};
-use espread_net::wire::{self, DataMsg, DecodeScratch, Msg, ParityMember, ParityMsg};
+use espread_net::clientwin::RecoverScratch;
+use espread_net::wire::{self, DecodeScratch, Msg};
 use espread_netsim::{DuplexChannel, GilbertModel, Link, SimDuration, SimTime};
 use espread_obs::{data_detail, EventKind, FlightRecorder, Role, DEFAULT_CAPACITY};
+use espread_protocol::client::{ClientWindow, DataMsg, ParityMember, ParityMsg, WindowOutcome};
 use espread_protocol::{Fragment, Ldu, ProtocolConfig, Server, WindowFeedback};
 use espread_trace::GopPattern;
 
@@ -163,10 +164,10 @@ fn main() -> ExitCode {
             },
         ],
     };
-    let mut win = NetWindow::new(0, 4, &[2, 2], &[0, 1]);
+    let mut win = ClientWindow::new(0, 4, &[2, 2], &[0, 1]);
     let mut rs = RecoverScratch::default();
     let mut nack: Vec<u16> = Vec::with_capacity(4);
-    let mut outcome = NetWindowOutcome::default();
+    let mut outcome = WindowOutcome::default();
     let mut window = 0u64;
     let netwin = measure(&mut memcpy, |_| {
         for frame in 0..4 {

@@ -2,7 +2,7 @@
 //! over real UDP sockets through the fault-injecting proxy.
 //!
 //! ```sh
-//! cargo run -p espread-bench --bin fec_frontier [-- --quick] [--jobs N]
+//! cargo run -p espread-bench --bin fec_frontier [-- --jobs N]
 //! ```
 //!
 //! Five arms stream identical Jurassic Park windows with recovery
@@ -53,12 +53,10 @@ const WINDOWS: usize = 8;
 const GOPS_PER_WINDOW: usize = 2;
 const P_STAY_GOOD: f64 = 0.92;
 const P_BAD: f64 = 0.5;
-/// Channel seeds swept in the full run; chosen so the committed artifact
-/// exercises both coverable and saturating bursts (the FEC arms record
-/// unrecoverable groups as well as recoveries).
-const FULL_SEEDS: [u64; 6] = [1, 5, 7, 9, 12, 31];
-/// `--quick` / `#[test]` subset.
-const QUICK_SEEDS: [u64; 2] = [1, 9];
+/// Channel seeds swept; chosen so the committed artifact exercises both
+/// coverable and saturating bursts (the FEC arms record unrecoverable
+/// groups as well as recoveries).
+const SEEDS: [u64; 6] = [1, 5, 7, 9, 12, 31];
 
 #[derive(Clone, Copy)]
 struct Arm {
@@ -335,8 +333,7 @@ fn rows(arms: &[ArmResult], seeds: &[u64]) -> Vec<Json> {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let seeds: &[u64] = if quick { &QUICK_SEEDS } else { &FULL_SEEDS };
+    let seeds: &[u64] = &SEEDS;
     println!(
         "FEC frontier: {} arms x {} seeds, {WINDOWS} windows each \
          (Gilbert-Elliott P_stay_good={P_STAY_GOOD}, P_bad={P_BAD}; \
@@ -399,10 +396,13 @@ fn main() {
 mod tests {
     use super::*;
 
-    /// The acceptance inequalities, guarded by `cargo test` on the
-    /// `--quick` seed subset.
+    /// A two-seed subset of [`SEEDS`], for a test that runs in seconds.
+    const TEST_SEEDS: [u64; 2] = [1, 9];
+
+    /// The acceptance inequalities, guarded by `cargo test` on a subset
+    /// of the binary's seeds.
     #[test]
     fn frontier_invariants_hold_on_quick_seeds() {
-        assert_frontier(&run_frontier(&QUICK_SEEDS));
+        assert_frontier(&run_frontier(&TEST_SEEDS));
     }
 }

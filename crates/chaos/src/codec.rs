@@ -16,12 +16,13 @@
 
 use espread_core::BurstEstimator;
 use espread_net::wire::{
-    Accept, ByeReason, CriticalNackMsg, DataMsg, Hello, ParityMember, ParityMsg, Reject,
-    WindowAckMsg, WindowEnd, MAX_BURST_ENTRIES, MAX_CRITICAL_FRAMES, MAX_FRAME_INDEX, MAX_LAYERS,
-    MAX_NACK_ENTRIES, MAX_PARITY_MEMBERS, MAX_REASON_BYTES,
+    Accept, ByeReason, CriticalNackMsg, Hello, Reject, WindowAckMsg, WindowEnd, MAX_BURST_ENTRIES,
+    MAX_CRITICAL_FRAMES, MAX_FRAME_INDEX, MAX_LAYERS, MAX_NACK_ENTRIES, MAX_PARITY_MEMBERS,
+    MAX_REASON_BYTES,
 };
-use espread_net::{decode, try_encode, Msg, NetWindow, WireError};
+use espread_net::{decode, try_encode, Msg, WireError};
 use espread_netsim::rng::DetRng;
+use espread_protocol::client::{ClientWindow, DataMsg, ParityMember, ParityMsg};
 use espread_protocol::{
     negotiate, ClientCapabilities, FecPolicy, Fragment, Ldu, NegotiationError, Ordering,
     ProtocolConfig, Server, SessionOffer, WindowFeedback,
@@ -397,7 +398,7 @@ fn hostile_window_guard(rng: &mut DetRng, v: &mut Vec<String>) {
         .map(|_| rng.below(20) as u16)
         .collect();
     let critical: Vec<u16> = (0..rng.below(6)).map(|_| rng.next_u64() as u16).collect();
-    let mut w = NetWindow::new(0, frames, &layer_sizes, &critical);
+    let mut w = ClientWindow::new(0, frames, &layer_sizes, &critical);
     for _ in 0..64 {
         let frags_total = rng.next_u64() as u16;
         let hostile = DataMsg {

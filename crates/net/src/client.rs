@@ -2,12 +2,14 @@
 //!
 //! [`NetClient::connect`] runs the `Hello`/`Accept` negotiation under
 //! bounded retry; [`NetClient::stream`] then receives the whole stream,
-//! tracking each window with [`NetWindow`](crate::clientwin::NetWindow)
-//! and answering every `WindowEnd` with a sequence-numbered `WindowAck`.
+//! tracking each window with a
+//! [`ClientWindow`](espread_protocol::client::ClientWindow) and answering
+//! every `WindowEnd` with a sequence-numbered `WindowAck`.
 //!
 //! The protocol lives in the sans-IO client core. This module owns the
-//! socket and one loop that feeds the core datagrams and clock values and
-//! sends what it queues.
+//! socket and one loop that feeds the core datagrams and clock values,
+//! sends what it queues and folds what it reports into the counters, the
+//! flight recorder and the report.
 
 use std::io::{self, ErrorKind::TimedOut, ErrorKind::WouldBlock};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, UdpSocket};
@@ -22,6 +24,7 @@ use crate::error::NetError;
 use crate::obsrec::SessionRecorder;
 use crate::retry::RetryPolicy;
 use crate::session::{us, Ctx, OutQueue};
+use crate::telem::ClientTelem;
 use crate::wire::Accept;
 
 /// Socket poll granularity. Set as the read timeout **once** at connect
@@ -84,7 +87,7 @@ impl Default for NetClientConfig {
 }
 
 /// What the client saw over the whole stream.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct NetClientReport {
     /// Per-window continuity metrics, in window order.
     pub series: WindowSeries,
@@ -139,10 +142,13 @@ pub struct NetClient {
     socket: UdpSocket,
     core: ClientCore,
     out: OutQueue,
-    /// The core's clock counts µs from connect time.
+    /// The core's clock counts µs from here: the recorder's epoch when
+    /// one is attached, else connect time.
     epoch: Instant,
     buf: Vec<u8>,
-    timeout_updates: u64,
+    telem: ClientTelem,
+    /// The counts folded so far; the core adds its results at the end.
+    report: NetClientReport,
 }
 
 impl NetClient {
@@ -152,7 +158,7 @@ impl NetClient {
     ///
     /// Socket errors, a server [`NetError::Rejected`], or
     /// [`NetError::HandshakeTimeout`] after the retry schedule runs dry.
-    pub fn connect(server: SocketAddr, config: NetClientConfig) -> Result<Self, NetError> {
+    pub fn connect(server: SocketAddr, mut config: NetClientConfig) -> Result<Self, NetError> {
         config.retry.validate().map_err(NetError::Config)?;
         if config.deadline.is_zero() {
             return Err(NetError::Config("deadline must be positive".into()));
@@ -165,16 +171,19 @@ impl NetClient {
         };
         let socket = UdpSocket::bind((bind_ip, 0))?;
         socket.connect(server)?;
-        let mut timeout_updates = 0u64;
-        set_read_timeout_counted(&socket, &mut timeout_updates)?;
+        let mut report = NetClientReport::default();
+        set_read_timeout_counted(&socket, &mut report.timeout_updates)?;
         let nonce = first_nonce(&socket, config.retry.max_attempts)?;
+        // The recorder is the loop's: the core records nothing itself.
+        let recorder = std::mem::take(&mut config.recorder);
         let mut client = NetClient {
             socket,
+            epoch: recorder.clock_epoch(),
+            telem: ClientTelem::new(recorder),
             core: ClientCore::new(config, nonce),
             out: OutQueue::default(),
-            epoch: Instant::now(),
             buf: vec![0u8; 65_536],
-            timeout_updates,
+            report,
         };
         client.run(ClientCore::start)?;
         Ok(client)
@@ -193,24 +202,26 @@ impl NetClient {
     /// or the overall deadline passes; socket errors.
     pub fn stream(mut self) -> Result<NetClientReport, NetError> {
         self.run(ClientCore::begin)?;
-        Ok(self.core.report(self.timeout_updates))
+        Ok(self.core.report(self.report))
     }
 
     /// The one socket loop: `start` queues the opening datagram, then
-    /// each pass sends what the core queued, waits in `recv` for a
-    /// datagram or one poll tick, reads the clock once, feeds the
-    /// datagram and fires the core's deadline when it is due — until the
-    /// core connects, finishes or fails.
+    /// each pass sends what the core queued and folds what it reported,
+    /// waits in `recv` for a datagram or one poll tick, reads the clock
+    /// once, feeds the datagram and fires the core's deadline when it is
+    /// due — until the core connects, finishes or fails.
     fn run(&mut self, start: fn(&mut ClientCore, &mut Ctx<'_>)) -> Result<(), NetError> {
         let (now, out) = (us(self.epoch.elapsed()), &mut self.out);
         start(&mut self.core, &mut Ctx { now, out });
-        let mut step = Step::Pending;
+        let mut step = Ok(Step::Pending);
         loop {
-            let (socket, core) = (&self.socket, &mut self.core);
+            let (socket, telem, report) = (&self.socket, &self.telem, &mut self.report);
             self.out
-                .drain(|datagram| core.on_sent(socket.send(datagram).is_ok()));
-            if step != Step::Pending {
-                return Ok(());
+                .drain(|datagram| telem.send(socket, datagram, report));
+            self.out
+                .drain_effects(|at, effect| telem.fold(report, at, effect));
+            if !matches!(step, Ok(Step::Pending)) {
+                return step.map(drop);
             }
             let received = match self.socket.recv(&mut self.buf) {
                 Ok(len) => Some(len),
@@ -220,10 +231,12 @@ impl NetClient {
             let (now, out) = (us(self.epoch.elapsed()), &mut self.out);
             let ctx = &mut Ctx { now, out };
             if let Some(len) = received {
-                step = self.core.on_datagram(&self.buf[..len], ctx)?;
+                step = self.core.on_datagram(&self.buf[..len], ctx);
             }
-            if step == Step::Pending && self.core.next_deadline().is_some_and(|t| t <= now) {
-                step = self.core.on_deadline(ctx)?;
+            if matches!(step, Ok(Step::Pending))
+                && self.core.next_deadline().is_some_and(|t| t <= now)
+            {
+                step = self.core.on_deadline(ctx);
             }
         }
     }

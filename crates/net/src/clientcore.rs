@@ -2,7 +2,7 @@
 //!
 //! [`ClientCore`] is the client half of the paper's §4.2 exchange: the
 //! `Hello`/`Accept` negotiation and the `Begin` under bounded retry, then
-//! the stream — reassembling each window in a [`NetWindow`], measuring
+//! the stream — reassembling each window in a [`ClientWindow`], measuring
 //! per-layer loss bursts and answering every `WindowEnd` with a
 //! sequence-numbered `WindowAck`. A lost `WindowEnd` heals two ways: the
 //! server retries it, and data for a *newer* window implicitly finalizes
@@ -10,18 +10,20 @@
 //!
 //! Like the server's session core it does no I/O and never blocks: a call
 //! reads the clock from [`Ctx::now`] (µs since the client's epoch) and
-//! appends its datagrams to the out-queue the caller drains.
+//! appends its datagrams and [`Effect`]s to the out-queue the caller
+//! drains. It keeps no counters: the caller folds the effects into them
+//! and into the report's counts.
 
 use std::collections::HashMap;
 use std::time::Duration;
 
-use espread_qos::{ContinuityMetrics, WindowSeries};
+use espread_protocol::client::ClientWindow;
+use espread_qos::{ContinuityMetrics, LossPattern, WindowSeries};
 
 use crate::client::{NetClientConfig, NetClientReport};
-use crate::clientwin::{NetWindow, RecoverScratch};
+use crate::clientwin::RecoverScratch;
 use crate::error::NetError;
-use crate::session::{earliest, us, Ctx};
-use crate::telem::ClientTelem;
+use crate::session::{data_labels, earliest, us, Ctx, Effect, FrameLabels, WindowLabels};
 use crate::wire::{self, Accept, CriticalNackMsg, Hello, Msg, WindowAckMsg, CONN_NONE};
 
 /// Cheap deterministic jitter in `[0, retry_after/4]` ms, derived from
@@ -67,7 +69,6 @@ enum Phase {
 #[derive(Debug)]
 pub(crate) struct ClientCore {
     config: NetClientConfig,
-    telem: ClientTelem,
     /// The connection id the `Accept` assigned (`CONN_NONE` before).
     conn_id: u32,
     /// The live handshake nonce. A `Busy` moves it one up, so the caller
@@ -88,19 +89,22 @@ pub(crate) struct ClientCore {
     /// When the linger for the `Bye` ends; armed once every window is in.
     linger_until: Option<u64>,
     decode_scratch: wire::DecodeScratch,
-    current: Option<NetWindow>,
+    current: Option<ClientWindow>,
     /// window → its acked bursts, for re-acking retried `WindowEnd`s.
     acked: HashMap<u64, Vec<u16>>,
     /// `(window, rounds)`: critical-NACK rounds already spent on `window`.
     nacked: Option<(u64, u32)>,
     /// The previous window's tracker, which `open` resets instead of
     /// allocating, so one tracker serves the whole stream.
-    spare: Option<NetWindow>,
+    spare: Option<ClientWindow>,
     recover_scratch: RecoverScratch,
     /// Reusable body of the `CriticalNack`s.
     nack_buf: Vec<u16>,
     ack_seq: u64,
-    report: NetClientReport,
+    /// Per-window continuity metrics and loss patterns, in window order.
+    series: WindowSeries,
+    patterns: Vec<LossPattern>,
+    saw_bye: bool,
 }
 
 impl ClientCore {
@@ -108,7 +112,6 @@ impl ClientCore {
     pub(crate) fn new(config: NetClientConfig, nonce: u64) -> Self {
         ClientCore {
             config,
-            telem: ClientTelem::default_global(),
             conn_id: CONN_NONE,
             nonce,
             last_busy: None,
@@ -135,25 +138,9 @@ impl ClientCore {
             recover_scratch: RecoverScratch::default(),
             nack_buf: Vec::new(),
             ack_seq: 0,
-            report: NetClientReport {
-                series: WindowSeries::new(),
-                patterns: Vec::new(),
-                windows_completed: 0,
-                windows_total: 0,
-                acks_sent: 0,
-                nacks_sent: 0,
-                datagrams_rx: 0,
-                data_rx: 0,
-                parity_rx: 0,
-                bytes_rx: 0,
-                hello_retries: 0,
-                saw_bye: false,
-                timeout_updates: 0,
-                fec_recovered: 0,
-                fec_unrecoverable: 0,
-                send_errors: 0,
-                foreign_conn: 0,
-            },
+            series: WindowSeries::new(),
+            patterns: Vec::new(),
+            saw_bye: false,
         }
     }
 
@@ -199,44 +186,22 @@ impl ClientCore {
         self.retry_at = Some(now.saturating_add(us(wait)));
     }
 
-    /// The caller's socket took (`true`) or refused one drained datagram.
-    pub(crate) fn on_sent(&mut self, ok: bool) {
-        if ok {
-            self.telem.on_tx();
-        } else {
-            self.telem.on_send_error();
-            self.report.send_errors += 1;
-        }
-    }
-
     /// A datagram `d` from the server arrived at `ctx.now`. Fails when the
     /// server refused the handshake or accepted an inconsistent shape.
     pub(crate) fn on_datagram(&mut self, d: &[u8], ctx: &mut Ctx<'_>) -> Result<Step, NetError> {
-        self.telem.on_rx();
+        ctx.emit(Effect::DatagramRx(d.len()));
         let connected = self.phase != Phase::Hello;
-        if connected {
-            self.report.bytes_rx += d.len() as u64;
-            self.report.datagrams_rx += 1;
-        }
         let Ok((conn_id, msg)) = wire::decode_with(d, &mut self.decode_scratch) else {
-            self.telem.on_decode_error();
-            if connected {
-                self.config.recorder.decode_error(self.conn_id);
-            }
+            ctx.emit(Effect::DecodeError(connected.then_some(self.conn_id)));
             return Ok(Step::Pending);
         };
         match msg {
             // Another connection's datagram: acting on it (a stray `Bye`
             // above all) could end this healthy session.
-            _ if connected && conn_id != self.conn_id => {
-                self.report.foreign_conn += 1;
-                self.telem.on_foreign_conn();
-            }
+            _ if connected && conn_id != self.conn_id => ctx.emit(Effect::ForeignConn),
             Msg::Accept(accept) if !connected && accept.nonce == self.nonce => {
                 validate_accept(&accept)?;
-                self.report.windows_total = accept.windows_total as usize;
-                // Only the stream's sends count in the report.
-                self.report.send_errors = 0;
+                ctx.emit(Effect::Accepted);
                 (self.conn_id, self.accept) = (conn_id, accept);
                 (self.phase, self.retry_at) = (Phase::Connected, None);
                 return Ok(Step::Connected);
@@ -268,7 +233,7 @@ impl ClientCore {
             }
         }
         self.decode_scratch.recycle(msg);
-        if self.report.saw_bye {
+        if self.saw_bye {
             return Ok(self.finish());
         }
         Ok(Step::Pending)
@@ -295,12 +260,10 @@ impl ClientCore {
             });
         }
         self.attempt += 1;
-        if self.phase == Phase::Hello {
-            self.report.hello_retries += 1;
-            self.telem.on_hello_retry();
-        } else {
-            self.telem.on_begin_retry();
-        }
+        ctx.emit(match self.phase {
+            Phase::Hello => Effect::HelloRetry,
+            _ => Effect::BeginRetry,
+        });
         self.send_attempt(ctx);
         Ok(Step::Pending)
     }
@@ -311,58 +274,66 @@ impl ClientCore {
         Step::Done
     }
 
-    /// What the client saw; `timeout_updates` is the caller's count.
-    pub(crate) fn report(mut self, timeout_updates: u64) -> NetClientReport {
-        self.report.windows_completed = self.acked.len();
-        self.report.timeout_updates = timeout_updates;
-        self.report
+    /// The core's half of the report: the per-window results, the
+    /// promised window count and whether the `Bye` came, written over the
+    /// counts the caller folded into `report`.
+    pub(crate) fn report(self, report: NetClientReport) -> NetClientReport {
+        NetClientReport {
+            windows_completed: self.acked.len(),
+            windows_total: self.windows_total(),
+            series: self.series,
+            patterns: self.patterns,
+            saw_bye: self.saw_bye,
+            ..report
+        }
+    }
+
+    /// Windows the server promised (0 before `Accept`).
+    fn windows_total(&self) -> usize {
+        self.accept.windows_total as usize
     }
 
     /// Encodes onto the end of the out-queue. An oversize message (a NACK
-    /// list inflated by hostile labels) is counted and dropped, never
+    /// list inflated by hostile labels) is reported and dropped, never
     /// truncated and never a panic: the server sees it as loss.
     fn send(&mut self, ctx: &mut Ctx<'_>, msg: &Msg) {
         if !ctx.out.push(self.conn_id, msg) {
-            self.telem.on_encode_oversize();
-            self.report.send_errors += 1;
+            ctx.emit(Effect::EncodeOversize);
         }
     }
 
     fn process(&mut self, msg: &Msg, ctx: &mut Ctx<'_>) {
-        let conn = self.conn_id;
         match msg {
             Msg::Data(data) => {
-                self.report.data_rx += 1;
-                let f = &data.fragment;
-                let (w, frame, frag, retx) = (f.window, f.frame as u32, f.frag, f.retransmit);
-                let Some(mut cur) = self.take_window(w, ctx) else {
+                let labels = data_labels(self.conn_id, data);
+                let Some(mut cur) = self.take_window(labels.window, ctx) else {
                     // Stale retransmission, duplicate after finalize or a
                     // window id out of range: no window this stream opens.
-                    self.config.recorder.ignored(conn, w, frame, frag, retx);
+                    ctx.emit(Effect::Ignored(labels));
                     return;
                 };
-                let obs = &self.config.recorder;
+                let f = &data.fragment;
                 let was_complete = cur.is_complete(f.frame);
                 if cur.accept(data) {
-                    obs.delivered(conn, w, frame, frag, retx);
+                    ctx.emit(Effect::Delivered(labels));
                     if !was_complete && cur.is_complete(f.frame) {
-                        obs.reassembled(conn, w, frame, f.frags_total);
+                        let at = FrameLabels::new(self.conn_id, f.window, f.frame);
+                        ctx.emit(Effect::Reassembled(at, f.frags_total));
                     }
                 } else {
-                    self.telem.on_bad_fragment();
-                    obs.bad_fragment(conn, w, frame, frag);
+                    ctx.emit(Effect::BadFragment(labels));
                 }
                 self.current = Some(cur);
             }
             Msg::Parity(parity) => {
-                self.report.parity_rx += 1;
+                ctx.emit(Effect::ParityRx);
                 // Parity rides the same window-advance logic as data: a
                 // group for a newer window implicitly closes the current.
                 let Some(mut cur) = self.take_window(parity.window, ctx) else {
                     return;
                 };
                 if !cur.accept_parity(parity) {
-                    self.telem.on_bad_fragment();
+                    ctx.emit(Effect::BadLabel);
                 }
                 self.current = Some(cur);
             }
@@ -378,7 +349,7 @@ impl ClientCore {
                 };
                 // Erasure recovery repairs what parity can cover BEFORE the
                 // NACK decision: covered losses cost no retransmission.
-                self.run_recovery(&mut cur);
+                self.run_recovery(&mut cur, ctx);
                 let round = match self.nacked {
                     Some((w, rounds)) if w == end.window => rounds + 1,
                     _ => 1,
@@ -388,12 +359,10 @@ impl ClientCore {
                     cur.missing_critical_into(&mut missing);
                     if !missing.is_empty() {
                         self.nacked = Some((end.window, round));
-                        self.report.nacks_sent += 1;
+                        ctx.emit(Effect::NackRound);
                         for &frame in &missing {
-                            let frame = u32::from(frame);
-                            self.config
-                                .recorder
-                                .nack_sent(conn, end.window, frame, round);
+                            let at = FrameLabels::new(self.conn_id, end.window, usize::from(frame));
+                            ctx.emit(Effect::NackSent(at, round));
                         }
                         let window = end.window;
                         let nack = Msg::CriticalNack(CriticalNackMsg { window, missing });
@@ -415,7 +384,7 @@ impl ClientCore {
                     self.finalize(cur, 0, ctx);
                 }
                 self.send(ctx, &Msg::ByeAck);
-                self.report.saw_bye = true;
+                self.saw_bye = true;
             }
             // Handshake duplicates and client-side message types echoed
             // back are not ours to act on.
@@ -428,11 +397,11 @@ impl ClientCore {
     /// A newer window implicitly finalizes the open one (its `WindowEnd`
     /// was lost; echo 0 = no RTT sample). `None`, changing nothing, for a
     /// stale window, a duplicate after finalize, or an id out of range.
-    fn take_window(&mut self, w: u64, ctx: &mut Ctx<'_>) -> Option<NetWindow> {
-        if w >= self.report.windows_total as u64 {
+    fn take_window(&mut self, w: u64, ctx: &mut Ctx<'_>) -> Option<ClientWindow> {
+        if w >= self.windows_total() as u64 {
             // Most likely a corrupted id. Opening it would close the real
             // window early and count toward completion.
-            self.telem.on_bad_fragment();
+            ctx.emit(Effect::BadLabel);
             return None;
         }
         match self.current.take() {
@@ -451,48 +420,49 @@ impl ClientCore {
     }
 
     /// A tracker for `window`, recycled from `spare` when one is retired.
-    fn open(&mut self, window: u64) -> NetWindow {
+    fn open(&mut self, window: u64) -> ClientWindow {
         let a = &self.accept;
         let frames = usize::from(a.frames_per_window);
         let Some(mut w) = self.spare.take() else {
-            return NetWindow::new(window, frames, &a.layer_sizes, &a.critical_frames);
+            return ClientWindow::new(window, frames, &a.layer_sizes, &a.critical_frames);
         };
         w.reset(window, frames, &a.layer_sizes, &a.critical_frames);
         w
     }
 
-    /// Runs one erasure-recovery pass over `win`, folding the result
-    /// into telemetry and the report counters.
-    fn run_recovery(&mut self, win: &mut NetWindow) {
+    /// Runs one erasure-recovery pass over `win` and reports what it
+    /// repaired and what it could not.
+    fn run_recovery(&mut self, win: &mut ClientWindow, ctx: &mut Ctx<'_>) {
         let r = win.recover_with(&mut self.recover_scratch);
         if r.recovered > 0 {
-            self.telem.on_fec_recovered(r.recovered as u64);
-            self.report.fec_recovered += r.recovered as u64;
+            ctx.emit(Effect::FecRecovered(r.recovered as u64));
         }
         if r.unrecoverable > 0 {
-            self.telem.on_fec_unrecoverable(r.unrecoverable as u64);
-            self.report.fec_unrecoverable += r.unrecoverable as u64;
+            ctx.emit(Effect::FecUnrecoverable(r.unrecoverable as u64));
         }
     }
 
-    fn finalize(&mut self, mut win: NetWindow, echo_us: u64, ctx: &mut Ctx<'_>) {
+    fn finalize(&mut self, mut win: ClientWindow, echo_us: u64, ctx: &mut Ctx<'_>) {
         // Implicitly closed windows still get their recovery pass; for
         // explicitly closed ones it finds nothing new.
-        self.run_recovery(&mut win);
+        self.run_recovery(&mut win, ctx);
         let outcome = win.close();
         self.spare = Some(win);
-        let (obs, w, pattern) = (&self.config.recorder, outcome.window, outcome.pattern);
+        let (w, pattern) = (outcome.window, outcome.pattern);
         for frame in pattern.lost_indices() {
-            obs.abandoned(self.conn_id, w, frame as u32);
+            ctx.emit(Effect::Abandoned(FrameLabels::new(self.conn_id, w, frame)));
         }
-        obs.window_closed(self.conn_id, w, pattern.len() as u32);
-        self.report.series.push(ContinuityMetrics::of(&pattern));
-        self.report.patterns.push(pattern);
-        self.telem.on_window();
+        let (conn, frames) = (self.conn_id, pattern.len() as u32);
+        ctx.emit(Effect::WindowClosed(
+            WindowLabels { conn, window: w },
+            frames,
+        ));
+        self.series.push(ContinuityMetrics::of(&pattern));
+        self.patterns.push(pattern);
         let bursts = outcome.per_layer_burst;
         self.ack(w, echo_us, bursts.clone(), ctx);
         self.acked.insert(w, bursts);
-        if self.acked.len() >= self.report.windows_total && self.linger_until.is_none() {
+        if self.acked.len() >= self.windows_total() && self.linger_until.is_none() {
             // All windows in: linger for the Bye, but don't stall forever.
             let linger = us(self.config.retry.total_wait()).saturating_add(1);
             self.linger_until = Some(ctx.now.saturating_add(linger));
@@ -501,9 +471,9 @@ impl ClientCore {
 
     fn ack(&mut self, window: u64, echo_us: u64, per_layer_burst: Vec<u16>, ctx: &mut Ctx<'_>) {
         self.ack_seq += 1;
-        self.report.acks_sent += 1;
         let ack_seq = self.ack_seq;
-        self.config.recorder.ack_sent(self.conn_id, window, ack_seq);
+        let conn = self.conn_id;
+        ctx.emit(Effect::AckSent(WindowLabels { conn, window }, ack_seq));
         let ack = WindowAckMsg {
             ack_seq,
             window,
@@ -516,32 +486,11 @@ impl ClientCore {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
-    use espread_protocol::{
-        negotiate, FecPolicy, FecScope, ProtocolConfig, SessionOffer, StreamSource,
-    };
-    use espread_trace::{GopPattern, Movie, MpegTrace};
-
     use super::*;
-    use crate::obsrec::SessionRecorder;
+    use crate::pair::{apply, decode, rs82, Input, Pair, CONN, NONCE};
     use crate::retry::RetryPolicy;
-    use crate::session::{OutQueue, SessionCore, SessionLimits};
-    use crate::telem::ServerTelem;
+    use crate::session::OutQueue;
     use crate::wire::WindowEnd;
-
-    const NONCE: u64 = 7 << 32;
-    const CONN: u32 = 1;
-    /// The shared clock's start: far enough from 0 that nothing clamps.
-    const T0: u64 = 1_000;
-
-    fn decode(datagram: &[u8]) -> Msg {
-        wire::decode(datagram).expect("datagrams decode").1
-    }
-
-    fn rs82() -> FecPolicy {
-        FecPolicy::rs(FecScope::All, 8, 2)
-    }
 
     /// A bare core and its out-queue on an integer clock.
     struct Bare {
@@ -658,207 +607,6 @@ mod tests {
         }
     }
 
-    /// One client input, logged with its clock so a script replays.
-    #[derive(Debug, Clone)]
-    enum Input {
-        Start,
-        Begin,
-        Datagram(Vec<u8>),
-        Deadline,
-    }
-
-    fn apply(core: &mut ClientCore, input: &Input, ctx: &mut Ctx<'_>) -> Result<Step, NetError> {
-        match input {
-            Input::Start => core.start(ctx),
-            Input::Begin => core.begin(ctx),
-            Input::Datagram(d) => return core.on_datagram(d, ctx),
-            Input::Deadline => return core.on_deadline(ctx),
-        }
-        Ok(Step::Pending)
-    }
-
-    /// A `SessionCore` and a `ClientCore` joined by plain `Vec<u8>`
-    /// hand-off on one integer clock: a session with no socket.
-    struct Pair {
-        server: SessionCore,
-        client: ClientCore,
-        now: u64,
-        to_client: OutQueue,
-        to_server: OutQueue,
-        /// Every client input with its clock.
-        inputs: Vec<(u64, Input)>,
-    }
-
-    impl Pair {
-        /// Runs the handshake (never lost) and begins a stream of
-        /// `windows` Jurassic Park windows, one GOP 12 each.
-        fn connect(windows: usize, fec: FecPolicy) -> Self {
-            let config = NetClientConfig::default();
-            let mut client = ClientCore::new(config.clone(), NONCE);
-            let (mut to_client, mut to_server) = (OutQueue::default(), OutQueue::default());
-            client.start(&mut Ctx {
-                now: T0,
-                out: &mut to_server,
-            });
-            let mut hellos = Vec::new();
-            to_server.drain(|d| hellos.push(decode(d)));
-            let [Msg::Hello(hello)] = &hellos[..] else {
-                panic!("one Hello: {hellos:?}");
-            };
-            let offer = SessionOffer {
-                gop_pattern: GopPattern::gop12(),
-                gops_per_window: 1,
-                open_gop: false,
-                fps: 24,
-                packet_bytes: 2048,
-                max_frame_bytes: 62_776 / 8,
-                fec,
-            };
-            let agreed = negotiate(offer, config.capabilities).expect("the offer fits");
-            let narrow = |v: &[usize]| v.iter().map(|&x| x as u16).collect();
-            let accept = Accept {
-                nonce: hello.nonce,
-                frames_per_window: agreed.offer.frames_per_window() as u16,
-                windows_total: windows as u32,
-                packet_bytes: agreed.offer.packet_bytes,
-                fps: agreed.offer.fps,
-                layer_sizes: narrow(&agreed.layer_sizes),
-                critical_frames: narrow(&agreed.critical_frames),
-            };
-            let trace = MpegTrace::new(Movie::JurassicPark, 1);
-            let mut server = SessionCore::new(
-                CONN,
-                ProtocolConfig::paper(0.6, 1).with_ordering(hello.ordering),
-                Arc::new(StreamSource::mpeg(&trace, 1, windows, false)),
-                RetryPolicy::lan(),
-                Duration::ZERO,
-                fec,
-                SessionLimits::unlimited(),
-                ServerTelem::default_global(),
-                SessionRecorder::disabled(),
-                T0,
-            );
-            server.start(&mut Ctx {
-                now: T0,
-                out: &mut to_client,
-            });
-            let mut pair = Pair {
-                server,
-                client,
-                now: T0,
-                to_client,
-                to_server,
-                inputs: vec![(T0, Input::Start)],
-            };
-            let accept = wire::try_encode(CONN, &Msg::Accept(accept)).unwrap();
-            assert_eq!(pair.feed(Input::Datagram(accept)).unwrap(), Step::Connected);
-            pair.feed(Input::Begin).unwrap();
-            pair
-        }
-
-        fn feed(&mut self, input: Input) -> Result<Step, NetError> {
-            let ctx = &mut Ctx {
-                now: self.now,
-                out: &mut self.to_server,
-            };
-            let step = apply(&mut self.client, &input, ctx);
-            self.inputs.push((self.now, input));
-            step
-        }
-
-        /// One round on the shared clock: the server fires what is due
-        /// and pumps, the client fires its deadline when due, then every
-        /// queued datagram crosses unless `deliver` drops it. When
-        /// nothing crossed, the clock moves to the next deadline.
-        fn round(&mut self, deliver: &mut impl FnMut(&Msg) -> bool) -> Step {
-            let ctx = &mut Ctx {
-                now: self.now,
-                out: &mut self.to_client,
-            };
-            self.server.on_deadline(ctx);
-            self.server.on_tick(ctx);
-            let mut step = Step::Pending;
-            if self.client.next_deadline().is_some_and(|t| t <= self.now) {
-                step = self.feed(Input::Deadline).expect("the stream heals");
-            }
-            let mut down = Vec::new();
-            self.to_client.drain(|d| down.push(d.to_vec()));
-            let mut crossed = !down.is_empty();
-            for d in down {
-                if deliver(&decode(&d)) {
-                    match self.feed(Input::Datagram(d)).expect("the stream heals") {
-                        Step::Pending => {}
-                        s => step = s,
-                    }
-                }
-            }
-            let mut up = Vec::new();
-            self.to_server.drain(|d| up.push(decode(d)));
-            crossed |= !up.is_empty();
-            for msg in up.iter().filter(|m| deliver(m)) {
-                let ctx = &mut Ctx {
-                    now: self.now,
-                    out: &mut self.to_client,
-                };
-                self.server.on_msg(msg, self.now, ctx);
-            }
-            if !crossed {
-                let next = earliest(self.server.next_deadline(), self.client.next_deadline());
-                self.now = next.expect("a deadline is armed").max(self.now);
-            }
-            step
-        }
-
-        /// Rounds until the client's stream ends; its report and inputs.
-        fn run(
-            mut self,
-            mut deliver: impl FnMut(&Msg) -> bool,
-        ) -> (NetClientReport, Vec<(u64, Input)>) {
-            for _ in 0..100_000 {
-                if self.round(&mut deliver) == Step::Done {
-                    assert_eq!(
-                        self.server.next_deadline(),
-                        None,
-                        "the ByeAck crossed and ended the server session too"
-                    );
-                    return (self.client.report(0), self.inputs);
-                }
-            }
-            panic!("the stream never ended");
-        }
-    }
-
-    #[test]
-    fn a_session_with_no_socket_completes_and_heals_through_deadlines() {
-        let (report, _) = Pair::connect(4, rs82()).run(|_| true);
-        assert_eq!(report.windows_total, 4);
-        assert_eq!(report.windows_completed, report.windows_total);
-        assert!(report.saw_bye);
-        assert!(report.parity_rx > 0, "RS(8,2) parity crossed");
-        assert_eq!((report.fec_recovered, report.fec_unrecoverable), (0, 0));
-        assert_eq!(report.series.summary().mean_clf, 0.0, "nothing lost");
-
-        // Lose the first Begin and the first WindowEnd of window 1: the
-        // client's Begin retry and the server's WindowEnd retry heal both.
-        let (mut begins, mut ends) = (0, 0);
-        let mut deliver = |msg: &Msg| match msg {
-            Msg::Begin => {
-                begins += 1;
-                begins > 1
-            }
-            Msg::WindowEnd(end) if end.window == 1 => {
-                ends += 1;
-                ends > 1
-            }
-            _ => true,
-        };
-        let (healed, _) = Pair::connect(4, rs82()).run(&mut deliver);
-        assert_eq!((begins, ends), (2, 2), "each was lost once, then retried");
-        assert_eq!(healed.windows_completed, healed.windows_total);
-        assert_eq!(healed.acks_sent, 4, "one ACK per window");
-        assert_eq!(healed.patterns, report.patterns, "no loss reached playout");
-    }
-
     /// A simulated transport replays events into the core, so the same
     /// script must give the same datagrams and deadlines on every run.
     #[test]
@@ -970,7 +718,7 @@ mod tests {
                 for d in &bogus {
                     assert_eq!(core.on_datagram(d, ctx).unwrap(), Step::Pending);
                 }
-                let open = core.current.as_ref().map(NetWindow::window);
+                let open = core.current.as_ref().map(ClientWindow::window);
                 assert_eq!(open, Some(1), "the real window stays open");
             }
             out.drain(|d| {
@@ -980,7 +728,7 @@ mod tests {
             });
         }
         assert_eq!(acked, [0, 1, 2], "every real window is ACKed, in order");
-        let report = core.report(0);
+        let report = core.report(NetClientReport::default());
         assert_eq!(report.windows_completed, WINDOWS as usize);
         assert_eq!(report.patterns.len(), WINDOWS as usize);
     }

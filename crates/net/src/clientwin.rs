@@ -1,21 +1,22 @@
-//! The client window on the UDP transport, and its byte decoder.
+//! The client window's byte decoder on the UDP transport.
 //!
 //! The window itself is `espread-protocol`'s
-//! [`ClientWindow`](espread_protocol::ClientWindow) — the same tracker
-//! the simulator drives — re-exported here under the names the UDP
-//! stack has always used. It decides which parity groups repair; on the
+//! [`ClientWindow`](espread_protocol::ClientWindow), the same tracker
+//! the simulator drives. It decides which parity groups repair; on the
 //! wire the byte work goes through [`RecoverScratch`], which runs
 //! [`espread_fec::Codec::recover_into`] over the group's shards.
 
 use espread_fec::{Codec, Scratch};
 use espread_protocol::ShardDecoder;
 
-pub use espread_protocol::client::{
-    ClientWindow as NetWindow, FecRecovery, WindowOutcome as NetWindowOutcome,
-};
+/// The window under its old transport names. Nothing in this workspace
+/// uses them; they stay only for `benchmark/src/replay.rs`, which moves
+/// to the protocol names with the next benchmark change (ROADMAP item
+/// 12), when these go too.
+pub use espread_protocol::client::{ClientWindow as NetWindow, WindowOutcome as NetWindowOutcome};
 
 /// Caller-owned staging buffers for
-/// [`NetWindow::recover_with`](espread_protocol::ClientWindow::recover_with)
+/// [`ClientWindow::recover_with`](espread_protocol::ClientWindow::recover_with)
 /// — the codec scratch plus the zero-filled data/parity shard tables a
 /// recovery pass stages into. One of these per stream keeps erasure
 /// decoding allocation-free after the first pass. (It lives outside the
@@ -66,9 +67,8 @@ impl ShardDecoder for RecoverScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use espread_protocol::client::{ClientWindow, DataMsg, ParityMember, ParityMsg};
     use espread_protocol::{Fragment, Ldu, VerdictOnly};
-
-    use crate::wire::{DataMsg, ParityMember, ParityMsg};
 
     fn data(frame: usize) -> DataMsg {
         DataMsg {
@@ -111,7 +111,7 @@ mod tests {
         for lost in 0u8..16 {
             for seen in 1u8..4 {
                 let run = |decoder: &mut dyn ShardDecoder| {
-                    let mut w = NetWindow::new(0, 4, &[2, 2], &[0, 1]);
+                    let mut w = ClientWindow::new(0, 4, &[2, 2], &[0, 1]);
                     for frame in (0..4).filter(|f| lost & (1 << f) == 0) {
                         w.accept(&data(frame));
                     }

@@ -73,10 +73,13 @@ mod telem;
 pub mod wire;
 
 pub use client::{NetClient, NetClientConfig, NetClientReport};
-pub use clientwin::{NetWindow, NetWindowOutcome};
 pub use error::NetError;
 pub use obsrec::SessionRecorder;
 pub use proxy::{FaultPolicy, FaultProxy, ProxyStats};
 pub use retry::RetryPolicy;
 pub use server::{NetServer, NetServerConfig};
 pub use wire::{decode, try_encode, try_encode_into, Msg, WireError};
+
+/// Whole sessions through both sans-IO cores with no socket.
+#[cfg(test)]
+mod pair;

@@ -1,11 +1,16 @@
 //! Flight-recorder hook: a [`SessionRecorder`] carries an optional
 //! `espread-obs` recorder into the server, client, and proxy loops, so
 //! the transport code records through one handle whether or not a
-//! recorder is attached.
+//! recorder is attached. The server and client record what their cores'
+//! effects stand for, stamped with the cores' own clock values; the
+//! proxy records what it did to each datagram as it happens.
+
+use std::time::Instant;
 
 use espread_obs::{data_detail, EventKind, FlightRecorder, FRAME_NONE, WINDOW_NONE};
 
-use crate::wire::{DataLabels, Msg};
+use crate::session::{Effect, FrameLabels, WindowLabels};
+use crate::wire::DataLabels;
 
 /// Optional hook into an `espread-obs` flight recorder. The default
 /// ([`SessionRecorder::disabled`]) records nothing; attach one
@@ -15,6 +20,22 @@ use crate::wire::{DataLabels, Msg};
 #[derive(Debug, Clone, Default)]
 pub struct SessionRecorder {
     rec: Option<FlightRecorder>,
+}
+
+/// A recorded event's `(kind, conn, window, frame, detail)`.
+type Event = (EventKind, u32, u64, u32, u32);
+
+fn data_event(kind: EventKind, l: DataLabels) -> Event {
+    let detail = data_detail(l.frag, l.retransmit);
+    (kind, l.conn, l.window, u32::from(l.frame), detail)
+}
+
+fn frame_event(kind: EventKind, f: FrameLabels, detail: u32) -> Event {
+    (kind, f.conn, f.window, f.frame, detail)
+}
+
+fn window_event(kind: EventKind, w: WindowLabels, detail: u32) -> Event {
+    (kind, w.conn, w.window, FRAME_NONE, detail)
 }
 
 impl SessionRecorder {
@@ -33,6 +54,15 @@ impl SessionRecorder {
         self.rec.is_some()
     }
 
+    /// The clock epoch of a transport this hook records for: the
+    /// recorder's own epoch when one is attached, so the transport's
+    /// clock values are already recorder timestamps; else now.
+    pub(crate) fn clock_epoch(&self) -> Instant {
+        self.rec
+            .as_ref()
+            .map_or_else(Instant::now, FlightRecorder::epoch)
+    }
+
     #[inline]
     fn record(&self, kind: EventKind, conn: u32, window: u64, frame: u32, detail: u32) {
         if let Some(rec) = &self.rec {
@@ -40,164 +70,48 @@ impl SessionRecorder {
         }
     }
 
-    // ── server hooks ────────────────────────────────────────────
-
-    pub(crate) fn queued(&self, conn: u32, window: u64, frame: u32, slot: u32) {
-        self.record(EventKind::Queued, conn, window, frame, slot);
-    }
-
-    /// Records the send of an outgoing message, called just *before*
-    /// the bytes reach the socket so a matching `Delivered` can never
-    /// carry an earlier timestamp.
-    pub(crate) fn sent_msg(&self, conn: u32, msg: &Msg) {
-        match msg {
-            Msg::Data(data) => {
-                let f = &data.fragment;
-                let kind = if f.retransmit {
-                    EventKind::Retransmitted
-                } else {
-                    EventKind::Sent
-                };
-                self.record(
-                    kind,
-                    conn,
-                    f.window,
-                    f.frame as u32,
-                    data_detail(f.frag, f.retransmit),
-                );
+    /// Records the event a core's effect stands for, if any, stamped
+    /// `at` µs after [`Self::clock_epoch`]. Of the oversize refusals only
+    /// data is recorded: a refused control message surfaces through the
+    /// peer's retry machinery instead.
+    pub(crate) fn record_effect(&self, at: u64, effect: &Effect) {
+        use EventKind as K;
+        let Some(rec) = &self.rec else { return };
+        let (kind, conn, window, frame, detail) = match *effect {
+            Effect::Queued(f, slot) => frame_event(K::Queued, f, slot),
+            Effect::Sent(l) if l.retransmit => data_event(K::Retransmitted, l),
+            Effect::Sent(l) => data_event(K::Sent, l),
+            Effect::SendRefused(l) => data_event(K::SendRefused, l),
+            Effect::WindowEndSent(w) => window_event(K::WindowEndSent, w, 0),
+            Effect::ShedEnhancement(f) | Effect::ShedStaleRetx(f) => frame_event(K::Shed, f, 0),
+            Effect::AckReceived(w, seq) => window_event(K::AckReceived, w, seq as u32),
+            Effect::NackReceived(f) => frame_event(K::NackReceived, f, 0),
+            Effect::AckTimeout(w, attempts) => window_event(K::AckTimeout, w, attempts),
+            Effect::DecodeError(Some(conn)) => (K::DecodeError, conn, WINDOW_NONE, FRAME_NONE, 0),
+            Effect::Delivered(l) => data_event(K::Delivered, l),
+            Effect::Reassembled(f, frags) => frame_event(K::Reassembled, f, u32::from(frags)),
+            Effect::Ignored(l) => data_event(K::Ignored, l),
+            Effect::BadFragment(l) => {
+                // A refused fragment is recorded by its index alone,
+                // without the retransmit flag.
+                let detail = data_detail(l.frag, false);
+                (K::BadFragment, l.conn, l.window, u32::from(l.frame), detail)
             }
-            Msg::WindowEnd(end) => {
-                self.record(EventKind::WindowEndSent, conn, end.window, FRAME_NONE, 0);
-            }
-            _ => {}
-        }
-    }
-
-    /// Records an oversize encode refusal (data only — control
-    /// refusals surface through the peer's retry machinery instead).
-    pub(crate) fn refused_msg(&self, conn: u32, msg: &Msg) {
-        if let Msg::Data(data) = msg {
-            let f = &data.fragment;
-            self.record(
-                EventKind::SendRefused,
-                conn,
-                f.window,
-                f.frame as u32,
-                data_detail(f.frag, f.retransmit),
-            );
-        }
-    }
-
-    pub(crate) fn ack_received(&self, conn: u32, window: u64, ack_seq: u64) {
-        self.record(
-            EventKind::AckReceived,
-            conn,
-            window,
-            FRAME_NONE,
-            ack_seq as u32,
-        );
-    }
-
-    pub(crate) fn nack_received(&self, conn: u32, window: u64, frame: u32) {
-        self.record(EventKind::NackReceived, conn, window, frame, 0);
-    }
-
-    pub(crate) fn ack_timeout(&self, conn: u32, window: u64, attempts: u32) {
-        self.record(EventKind::AckTimeout, conn, window, FRAME_NONE, attempts);
-    }
-
-    /// Records an intentional overload shed of `frame` — nothing was
-    /// (or will be) sent for it this round.
-    pub(crate) fn shed(&self, conn: u32, window: u64, frame: u32) {
-        self.record(EventKind::Shed, conn, window, frame, 0);
-    }
-
-    // ── client hooks ────────────────────────────────────────────
-
-    pub(crate) fn delivered(
-        &self,
-        conn: u32,
-        window: u64,
-        frame: u32,
-        frag: u16,
-        retransmit: bool,
-    ) {
-        self.record(
-            EventKind::Delivered,
-            conn,
-            window,
-            frame,
-            data_detail(frag, retransmit),
-        );
-    }
-
-    pub(crate) fn bad_fragment(&self, conn: u32, window: u64, frame: u32, frag: u16) {
-        self.record(
-            EventKind::BadFragment,
-            conn,
-            window,
-            frame,
-            data_detail(frag, false),
-        );
-    }
-
-    pub(crate) fn ignored(&self, conn: u32, window: u64, frame: u32, frag: u16, retransmit: bool) {
-        self.record(
-            EventKind::Ignored,
-            conn,
-            window,
-            frame,
-            data_detail(frag, retransmit),
-        );
-    }
-
-    pub(crate) fn reassembled(&self, conn: u32, window: u64, frame: u32, frags_total: u16) {
-        self.record(
-            EventKind::Reassembled,
-            conn,
-            window,
-            frame,
-            u32::from(frags_total),
-        );
-    }
-
-    pub(crate) fn abandoned(&self, conn: u32, window: u64, frame: u32) {
-        self.record(EventKind::Abandoned, conn, window, frame, 0);
-    }
-
-    pub(crate) fn window_closed(&self, conn: u32, window: u64, frames_total: u32) {
-        self.record(
-            EventKind::WindowClosed,
-            conn,
-            window,
-            FRAME_NONE,
-            frames_total,
-        );
-    }
-
-    pub(crate) fn ack_sent(&self, conn: u32, window: u64, ack_seq: u64) {
-        self.record(EventKind::AckSent, conn, window, FRAME_NONE, ack_seq as u32);
-    }
-
-    pub(crate) fn nack_sent(&self, conn: u32, window: u64, frame: u32, round: u32) {
-        self.record(EventKind::NackSent, conn, window, frame, round);
-    }
-
-    pub(crate) fn decode_error(&self, conn: u32) {
-        self.record(EventKind::DecodeError, conn, WINDOW_NONE, FRAME_NONE, 0);
+            Effect::Abandoned(f) => frame_event(K::Abandoned, f, 0),
+            Effect::WindowClosed(w, frames) => window_event(K::WindowClosed, w, frames),
+            Effect::AckSent(w, seq) => window_event(K::AckSent, w, seq as u32),
+            Effect::NackSent(f, round) => frame_event(K::NackSent, f, round),
+            _ => return,
+        };
+        rec.record_at(at, kind, conn, window, frame, detail);
     }
 
     // ── proxy hooks ─────────────────────────────────────────────
 
     #[inline]
     fn data_event(&self, kind: EventKind, labels: DataLabels) {
-        self.record(
-            kind,
-            labels.conn,
-            labels.window,
-            u32::from(labels.frame),
-            data_detail(labels.frag, labels.retransmit),
-        );
+        let (kind, conn, window, frame, detail) = data_event(kind, labels);
+        self.record(kind, conn, window, frame, detail);
     }
 
     pub(crate) fn forwarded_data(&self, labels: DataLabels) {

@@ -232,7 +232,7 @@ impl DirState {
                             &self.counters.dropped_parity
                         };
                         counter.fetch_add(1, AtomicOrdering::Relaxed);
-                        self.telem.on_dropped();
+                        self.telem.dropped.inc();
                         if let Some(l) = labels {
                             self.obs.dropped_data(l);
                         }
@@ -245,7 +245,7 @@ impl DirState {
                 self.counters
                     .dropped_control
                     .fetch_add(1, AtomicOrdering::Relaxed);
-                self.telem.on_dropped();
+                self.telem.dropped.inc();
                 self.obs.dropped_control(conn, ty);
                 return Vec::new();
             }
@@ -267,7 +267,7 @@ impl DirState {
             self.counters
                 .corrupted
                 .fetch_add(1, AtomicOrdering::Relaxed);
-            self.telem.on_corrupted();
+            self.telem.corrupted.inc();
             self.obs.corrupted(labels, conn);
         }
         if self
@@ -279,7 +279,7 @@ impl DirState {
             self.counters
                 .truncated
                 .fetch_add(1, AtomicOrdering::Relaxed);
-            self.telem.on_truncated();
+            self.telem.truncated.inc();
             self.obs.truncated(labels, conn);
         }
         let mut out = Vec::with_capacity(2);
@@ -292,7 +292,7 @@ impl DirState {
             self.counters
                 .reordered
                 .fetch_add(1, AtomicOrdering::Relaxed);
-            self.telem.on_reordered();
+            self.telem.reordered.inc();
             if let Some(l) = labels {
                 self.obs.reordered(l);
             }
@@ -306,7 +306,7 @@ impl DirState {
             self.counters
                 .duplicated
                 .fetch_add(1, AtomicOrdering::Relaxed);
-            self.telem.on_duplicated();
+            self.telem.duplicated.inc();
             if let Some(l) = labels {
                 self.obs.duplicated(l);
             }
@@ -329,7 +329,7 @@ impl DirState {
             .forwarded
             .fetch_add(out.len() as u64, AtomicOrdering::Relaxed);
         for _ in &out {
-            self.telem.on_forwarded();
+            self.telem.forwarded.inc();
         }
         out
     }
@@ -513,7 +513,7 @@ fn relay(
                         dir.counters
                             .send_errors
                             .fetch_add(1, AtomicOrdering::Relaxed);
-                        dir.telem.on_send_error();
+                        dir.telem.send_errors.inc();
                     }
                 }
             }
@@ -529,7 +529,8 @@ impl Drop for FaultProxy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{self, ByeReason, DataMsg, Msg};
+    use crate::wire::{self, ByeReason, Msg};
+    use espread_protocol::client::{DataMsg, ParityMember, ParityMsg};
     use espread_protocol::{Fragment, Ldu};
     use std::time::Duration;
 
@@ -560,13 +561,13 @@ mod tests {
     fn parity_bytes(group: u32) -> Vec<u8> {
         wire::try_encode(
             1,
-            &Msg::Parity(crate::wire::ParityMsg {
+            &Msg::Parity(ParityMsg {
                 window: 0,
                 group,
                 m: 1,
                 parity_index: 0,
                 shard_bytes: 64,
-                members: vec![crate::wire::ParityMember {
+                members: vec![ParityMember {
                     frame: 0,
                     frag: 0,
                     frags_total: 1,

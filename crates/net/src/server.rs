@@ -205,8 +205,11 @@ impl NetServer {
         let socket = Arc::new(socket);
         let shutdown = Arc::new(AtomicBool::new(false));
         let live = Arc::new(AtomicUsize::new(0));
-        let telem = ServerTelem::default_global();
-        let epoch = Instant::now(); // every session clock counts µs from here
+        // Every session clock counts µs from here; with a recorder
+        // attached that is the recorder's epoch, so session clock values
+        // are the recorded timestamps.
+        let epoch = config.recorder.clock_epoch();
+        let telem = ServerTelem::new(config.recorder.clone());
         let workers = config.worker_count();
         let (reaped_tx, reaped_rx) = mpsc::channel();
         let mut shards = Vec::with_capacity(workers);
@@ -251,7 +254,6 @@ impl NetServer {
             shutdown: Arc::clone(&shutdown),
             live_gauge: Arc::clone(&live),
             telem,
-            obs: config.recorder,
             shards,
             shard_handles,
             reaped_rx,
@@ -397,7 +399,6 @@ struct Demux {
     shutdown: Arc<AtomicBool>,
     live_gauge: Arc<AtomicUsize>,
     telem: ServerTelem,
-    obs: SessionRecorder,
     shards: Vec<Sender<ShardEvent>>,
     shard_handles: Vec<JoinHandle<()>>,
     reaped_rx: Receiver<u32>,
@@ -450,13 +451,10 @@ impl Demux {
         live: &mut HashSet<u32>,
         next_conn: &mut u32,
     ) {
-        self.telem.on_rx();
-        let (conn_id, msg) = match wire::decode(datagram) {
-            Ok(ok) => ok,
-            Err(_) => {
-                self.telem.on_decode_error();
-                return;
-            }
+        self.telem.datagrams_rx.inc();
+        let Ok((conn_id, msg)) = wire::decode(datagram) else {
+            self.telem.decode_errors.inc();
+            return;
         };
         match msg {
             Msg::Hello(hello) => {
@@ -486,7 +484,7 @@ impl Demux {
                     // the cache insert below makes duplicated Hellos get
                     // the identical Busy back.
                     Ok(_) if self.max_sessions != 0 && live.len() >= self.max_sessions => {
-                        self.telem.on_busy_rejection();
+                        self.telem.busy_rejections.inc();
                         let retry_after_ms = self.busy_retry_after_ms;
                         (CONN_NONE, Msg::Busy { retry_after_ms })
                     }
@@ -503,7 +501,7 @@ impl Demux {
                         // typed refusal instead of a silently cut reply.
                         // An admitted session left without its Accept is
                         // reclaimed by the watchdog like any ghost.
-                        self.telem.on_encode_oversize();
+                        self.telem.encode_oversize.inc();
                         let short = reject("negotiation failed".into());
                         let Ok(bytes) = wire::try_encode(CONN_NONE, &short) else {
                             return;
@@ -512,9 +510,8 @@ impl Demux {
                     }
                 };
                 self.telem.send_to(&self.socket, &reply, from);
-                for _ in 0..handshakes.insert(hello.nonce, from, reply, now) {
-                    self.telem.on_handshake_eviction();
-                }
+                let evicted = handshakes.insert(hello.nonce, from, reply, now);
+                self.telem.handshake_evictions.add(evicted as u64);
             }
             other if conn_id != CONN_NONE && live.contains(&conn_id) => {
                 let _ = self.shard_of(conn_id).send(ShardEvent::Msg {
@@ -546,8 +543,6 @@ impl Demux {
             self.pace,
             self.offer.fec,
             self.limits,
-            self.telem.clone(),
-            self.obs.clone(),
             us(self.epoch.elapsed()),
         );
         let open = ShardEvent::Open(from, Box::new(core));
@@ -556,7 +551,7 @@ impl Demux {
         }
         live.insert(conn_id);
         self.live_gauge.fetch_add(1, AtomicOrdering::SeqCst);
-        self.telem.on_session();
+        self.telem.sessions.inc();
         Some(conn_id)
     }
 }

@@ -25,15 +25,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use espread_fec::Codec;
+use espread_protocol::client::{DataMsg, ParityMember, ParityMsg};
 use espread_protocol::{
     FecPolicy, FecScope, ParityGrouper, ProtocolConfig, Server, StreamSource, WindowFeedback,
     WindowPlan,
 };
 
-use crate::obsrec::SessionRecorder;
 use crate::retry::RetryPolicy;
-use crate::telem::ServerTelem;
-use crate::wire::{self, ByeReason, DataMsg, Msg, ParityMember, ParityMsg, WindowEnd};
+use crate::wire::{self, ByeReason, DataLabels, Msg, WindowEnd};
 
 /// Fragments sent per [`SessionCore::on_tick`] when pacing is disabled —
 /// bounds how long one session can monopolise its shard.
@@ -72,11 +71,13 @@ impl SessionLimits {
 
 /// The datagrams queued by session calls, in encode order: one encode
 /// buffer (the per-shard "buffer pool" — one allocation serves every
-/// send on the shard) and each datagram's byte span in it.
+/// send on the shard) and each datagram's byte span in it; and beside
+/// them the calls' [`Effect`]s, each stamped with its call's clock.
 #[derive(Debug, Default)]
 pub(crate) struct OutQueue {
     bytes: Vec<u8>,
     spans: Vec<Range<usize>>,
+    effects: Vec<(u64, Effect)>,
 }
 
 impl OutQueue {
@@ -95,13 +96,160 @@ impl OutQueue {
         }
         self.bytes.clear();
     }
+
+    /// Hands every queued effect and its stamp to `fold`, in the order
+    /// the calls pushed them, and empties the buffer, keeping its
+    /// capacity.
+    pub(crate) fn drain_effects(&mut self, mut fold: impl FnMut(u64, Effect)) {
+        for (at, effect) in self.effects.drain(..) {
+            fold(at, effect);
+        }
+    }
+
+    /// Room for effects the buffer has grown to.
+    #[cfg(test)]
+    pub(crate) fn effect_capacity(&self) -> usize {
+        self.effects.capacity()
+    }
 }
 
 /// What a session or client call reads and writes: the clock, in µs
-/// since the caller's epoch, and the out-queue its sends append to.
+/// since the caller's epoch, and the out-queue its sends and effects
+/// append to.
 pub(crate) struct Ctx<'a> {
     pub now: u64,
     pub out: &'a mut OutQueue,
+}
+
+impl Ctx<'_> {
+    /// Queues `effect` for the shell's fold, stamped with this call's
+    /// clock.
+    pub(crate) fn emit(&mut self, effect: Effect) {
+        self.out.effects.push((self.now, effect));
+    }
+}
+
+/// Where a window-level effect happened.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct WindowLabels {
+    pub conn: u32,
+    pub window: u64,
+}
+
+/// Where a per-frame effect happened.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FrameLabels {
+    pub conn: u32,
+    pub window: u64,
+    pub frame: u32,
+}
+
+impl FrameLabels {
+    pub(crate) fn new(conn: u32, window: u64, frame: usize) -> Self {
+        let frame = frame as u32;
+        FrameLabels {
+            conn,
+            window,
+            frame,
+        }
+    }
+}
+
+/// The labels of the fragment a data message carries on `conn`.
+pub(crate) fn data_labels(conn: u32, data: &DataMsg) -> DataLabels {
+    let f = &data.fragment;
+    DataLabels {
+        conn,
+        window: f.window,
+        frame: f.frame as u16,
+        frag: f.frag,
+        retransmit: f.retransmit,
+    }
+}
+
+/// One occurrence inside a core call, reported once. The cores push
+/// effects and book nothing: the shell that drives a core folds each
+/// effect, once, into the counters, the flight recorder and, on the
+/// client, the report's counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Effect {
+    // ── server session ──────────────────────────────────────────
+    /// A frame entered the window's schedule at transmission slot `.1`.
+    Queued(FrameLabels, u32),
+    /// A data fragment was queued for the socket; a retransmission
+    /// when its labels say so.
+    Sent(DataLabels),
+    /// A data fragment was too long for the wire; nothing was queued.
+    SendRefused(DataLabels),
+    /// A control message was too long for the wire; nothing was queued.
+    EncodeOversize,
+    /// The window's `WindowEnd` was queued.
+    WindowEndSent(WindowLabels),
+    /// An enhancement-layer frame was shed under pacing debt.
+    ShedEnhancement(FrameLabels),
+    /// A NACKed frame was skipped: its window is past playout.
+    ShedStaleRetx(FrameLabels),
+    /// A NACKed frame is resent (each fragment is also a `Sent`).
+    Retransmission,
+    /// A `WindowAck` (`.1` = its sequence number) was folded into the
+    /// planner.
+    AckReceived(WindowLabels, u64),
+    /// A `CriticalNack` named this frame as missing.
+    NackReceived(FrameLabels),
+    /// A round-trip sample from an ACK's echo, in µs.
+    Rtt(u64),
+    /// A `WindowEnd` or `Bye` was resent under the retry schedule.
+    Retry,
+    /// The window's ACK never came inside `.1` tries.
+    AckTimeout(WindowLabels, u32),
+    /// No `Begin` came inside the handshake's patience.
+    HandshakeTimeout,
+    /// The watchdog ended a session that made no progress.
+    WatchdogTermination,
+    /// The stream completed (by `ByeAck` or exhausted `Bye` retries).
+    SessionComplete,
+    /// A closed parity group went out as this many parity datagrams.
+    FecGroup(u8),
+    // ── client core ─────────────────────────────────────────────
+    /// A datagram of this many bytes arrived.
+    DatagramRx(usize),
+    /// An arrival did not decode; `Some(conn)` once connected.
+    DecodeError(Option<u32>),
+    /// A decoded datagram carried another connection's id.
+    ForeignConn,
+    /// The server accepted: the stream's own counts start here.
+    Accepted,
+    /// A `Hello` was resent.
+    HelloRetry,
+    /// A `Begin` was resent.
+    BeginRetry,
+    /// A data fragment was taken into its open window.
+    Delivered(DataLabels),
+    /// The frame's last missing fragment arrived (`.1` = fragments).
+    Reassembled(FrameLabels, u16),
+    /// A data fragment for no window this stream opens.
+    Ignored(DataLabels),
+    /// A data fragment its window refused.
+    BadFragment(DataLabels),
+    /// A parity datagram its window refused, or a window id past the
+    /// stream's end.
+    BadLabel,
+    /// A parity datagram arrived mid-stream.
+    ParityRx,
+    /// A frame missed playout when its window closed.
+    Abandoned(FrameLabels),
+    /// A window of `.1` frames closed.
+    WindowClosed(WindowLabels, u32),
+    /// A `WindowAck` (`.1` = its sequence number) was queued.
+    AckSent(WindowLabels, u64),
+    /// A `CriticalNack` was queued: one recovery round.
+    NackRound,
+    /// The round's `CriticalNack` named this frame (`.1` = round).
+    NackSent(FrameLabels, u32),
+    /// Fragments repaired by erasure decoding.
+    FecRecovered(u64),
+    /// Parity groups whose erasures exceeded their parity.
+    FecUnrecoverable(u64),
 }
 
 /// What the shard should do with the session after an event.
@@ -172,8 +320,6 @@ pub(crate) struct SessionCore {
     source: Arc<StreamSource>,
     retry: RetryPolicy,
     pace: Duration,
-    telem: ServerTelem,
-    obs: SessionRecorder,
     /// When the session was opened; `WindowEnd` stamps and RTT samples
     /// count from here.
     epoch: u64,
@@ -218,8 +364,6 @@ impl SessionCore {
         pace: Duration,
         fec: FecPolicy,
         limits: SessionLimits,
-        telem: ServerTelem,
-        obs: SessionRecorder,
         epoch: u64,
     ) -> Self {
         let proto = Server::new(&protocol, &source.poset);
@@ -244,8 +388,6 @@ impl SessionCore {
             source,
             retry,
             pace,
-            telem,
-            obs,
             epoch,
             proto,
             phase: Phase::AwaitBegin,
@@ -267,6 +409,16 @@ impl SessionCore {
 
     pub(crate) fn conn_id(&self) -> u32 {
         self.conn_id
+    }
+
+    fn window_labels(&self, window: u64) -> WindowLabels {
+        let conn = self.conn_id;
+        WindowLabels { conn, window }
+    }
+
+    /// The labels of `frame` in the current window.
+    fn frame_labels(&self, frame: usize) -> FrameLabels {
+        FrameLabels::new(self.conn_id, self.window as u64, frame)
     }
 
     /// Whether the window is closed and the session waits for its ACK.
@@ -339,7 +491,7 @@ impl SessionCore {
         // A whole watchdog period with no datagram in either direction:
         // tell the peer the stream is gone (best-effort, unacked) and
         // end in a typed outcome so the shard reaps the session.
-        self.telem.on_watchdog_termination();
+        ctx.emit(Effect::WatchdogTermination);
         self.send(ctx, &Msg::Bye(ByeReason::Aborted));
         self.finish()
     }
@@ -350,19 +502,28 @@ impl SessionCore {
     }
 
     /// Encodes onto the end of the out-queue, which the shard drains to
-    /// the socket after the call. Oversize messages are counted and
+    /// the socket after the call. Oversize messages are reported and
     /// dropped, never a panic — the peer's retry machinery treats the
-    /// gap as loss.
+    /// gap as loss. The effect carries the call's clock, read before the
+    /// bytes reach the socket, so a matching delivery on a shared clock
+    /// can never be stamped earlier than its send.
     fn send(&mut self, ctx: &mut Ctx<'_>, msg: &Msg) {
         self.progress += 1;
-        if !ctx.out.push(self.conn_id, msg) {
-            self.telem.on_encode_oversize();
-            self.obs.refused_msg(self.conn_id, msg);
-            return;
-        }
-        // Record before the bytes hit the socket, so a matching delivery
-        // on a shared clock can never timestamp earlier than its send.
-        self.obs.sent_msg(self.conn_id, msg);
+        let queued = ctx.out.push(self.conn_id, msg);
+        let effect = match msg {
+            Msg::Data(data) => {
+                let labels = data_labels(self.conn_id, data);
+                if queued {
+                    Effect::Sent(labels)
+                } else {
+                    Effect::SendRefused(labels)
+                }
+            }
+            Msg::WindowEnd(end) if queued => Effect::WindowEndSent(self.window_labels(end.window)),
+            _ if queued => return,
+            _ => Effect::EncodeOversize,
+        };
+        ctx.emit(effect);
     }
 
     fn window_end(&self, now: u64, w: u64) -> Msg {
@@ -380,10 +541,8 @@ impl SessionCore {
     fn begin_window(&mut self, ctx: &mut Ctx<'_>) {
         self.disarm();
         let plan = self.proto.plan_window(&self.source.poset);
-        let w = self.window as u64;
         for (slot, sched) in plan.schedule.iter().enumerate() {
-            self.obs
-                .queued(self.conn_id, w, sched.frame as u32, slot as u32);
+            ctx.emit(Effect::Queued(self.frame_labels(sched.frame), slot as u32));
         }
         let frames = self.source.windows[self.window].len();
         self.critical.clear();
@@ -524,7 +683,7 @@ impl SessionCore {
         if let (Msg::Parity(p), Some(fec)) = (msg, &mut self.fec) {
             fec.groups.recycle(p);
         }
-        self.telem.on_fec_group(u64::from(m));
+        ctx.emit(Effect::FecGroup(m));
     }
 
     /// The transmit pump: while in the sending phase and the pacing
@@ -559,9 +718,7 @@ impl SessionCore {
             // hits the wire, so every shed is a step back toward the
             // schedule.
             if self.cursor.frag == 0 && self.should_shed(ctx.now, frame) {
-                self.telem.on_shed_enhancement();
-                self.obs
-                    .shed(self.conn_id, self.window as u64, frame as u32);
+                ctx.emit(Effect::ShedEnhancement(self.frame_labels(frame)));
                 self.cursor.slot += 1;
                 budget -= 1;
                 continue;
@@ -598,15 +755,18 @@ impl SessionCore {
         now.saturating_sub(self.next_send_at) >= us(self.limits.shed_lag)
     }
 
-    /// Offers a routed message to the planner; ACKs also feed the RTT
-    /// histogram. Returns the window an ACK described, if any.
-    fn feed(&mut self, msg: &Msg, at: u64) -> Option<u64> {
+    /// Offers a routed message to the planner; an ACK with an echo also
+    /// yields an RTT sample. Returns the window an ACK described, if any.
+    fn feed(&mut self, msg: &Msg, at: u64, ctx: &mut Ctx<'_>) -> Option<u64> {
         if let Msg::WindowAck(ack) = msg {
             if ack.echo_us != 0 {
                 let at_us = at.saturating_sub(self.epoch);
-                self.telem.rtt_us(at_us.saturating_sub(ack.echo_us));
+                ctx.emit(Effect::Rtt(at_us.saturating_sub(ack.echo_us)));
             }
-            self.obs.ack_received(self.conn_id, ack.window, ack.ack_seq);
+            ctx.emit(Effect::AckReceived(
+                self.window_labels(ack.window),
+                ack.ack_seq,
+            ));
             self.proto.offer_ack(
                 ack.ack_seq,
                 WindowFeedback {
@@ -644,8 +804,8 @@ impl SessionCore {
     /// Terminal transition shared by graceful teardown and exhausted
     /// `Bye` retries (the threaded server also counted both as a
     /// completed session).
-    fn finish_complete(&mut self) -> Status {
-        self.telem.on_session_complete();
+    fn finish_complete(&mut self, ctx: &mut Ctx<'_>) -> Status {
+        ctx.emit(Effect::SessionComplete);
         self.finish()
     }
 
@@ -668,7 +828,7 @@ impl SessionCore {
                 // are picked up at the next plan; NACKs here can only be
                 // stale (the client NACKs in response to a WindowEnd we
                 // have not sent yet).
-                let _ = self.feed(msg, at);
+                let _ = self.feed(msg, at, ctx);
                 Status::Active
             }
             Phase::AwaitAck { .. } => {
@@ -689,13 +849,13 @@ impl SessionCore {
                             && ctx.now.saturating_sub(self.closed_at)
                                 >= us(self.limits.stale_retx_after);
                         for frame in missing {
-                            self.obs.nack_received(self.conn_id, w, frame as u32);
+                            let labels = self.frame_labels(frame);
+                            ctx.emit(Effect::NackReceived(labels));
                             if stale {
-                                self.telem.on_shed_stale_retx();
-                                self.obs.shed(self.conn_id, w, frame as u32);
+                                ctx.emit(Effect::ShedStaleRetx(labels));
                                 continue;
                             }
-                            self.telem.on_retransmission();
+                            ctx.emit(Effect::Retransmission);
                             self.retransmit_frame(ctx, frame);
                         }
                         let end = self.window_end(ctx.now, w);
@@ -705,7 +865,7 @@ impl SessionCore {
                         Status::Active
                     }
                     _ => {
-                        if let Some(acked) = self.feed(msg, at) {
+                        if let Some(acked) = self.feed(msg, at, ctx) {
                             if acked >= w {
                                 self.disarm();
                                 self.advance_window(ctx);
@@ -718,9 +878,9 @@ impl SessionCore {
             }
             Phase::Teardown { .. } => {
                 if matches!(msg, Msg::ByeAck) {
-                    return self.finish_complete();
+                    return self.finish_complete(ctx);
                 }
-                let _ = self.feed(msg, at);
+                let _ = self.feed(msg, at, ctx);
                 Status::Active
             }
             Phase::Done => Status::Finished,
@@ -760,14 +920,14 @@ impl SessionCore {
         self.retry_at = None;
         match self.phase {
             Phase::AwaitBegin => {
-                self.telem.on_handshake_timeout();
+                ctx.emit(Effect::HandshakeTimeout);
                 self.finish()
             }
             Phase::Sending | Phase::Done => Status::Active,
             Phase::AwaitAck { attempt } => {
                 let w = self.window as u64;
                 if attempt + 1 < self.retry.max_attempts {
-                    self.telem.on_retry();
+                    ctx.emit(Effect::Retry);
                     let end = self.window_end(ctx.now, w);
                     self.send(ctx, &end);
                     self.phase = Phase::AwaitAck {
@@ -778,16 +938,15 @@ impl SessionCore {
                 } else {
                     // Retry budget spent: record the timeout and move on —
                     // streaming must not stall forever on a dead peer.
-                    self.telem.on_ack_timeout();
-                    self.obs
-                        .ack_timeout(self.conn_id, w, self.retry.max_attempts);
+                    let attempts = self.retry.max_attempts;
+                    ctx.emit(Effect::AckTimeout(self.window_labels(w), attempts));
                     self.advance_window(ctx);
                     self.on_tick(ctx)
                 }
             }
             Phase::Teardown { attempt } => {
                 if attempt + 1 < self.retry.max_attempts {
-                    self.telem.on_retry();
+                    ctx.emit(Effect::Retry);
                     self.send(ctx, &Msg::Bye(ByeReason::Complete));
                     self.phase = Phase::Teardown {
                         attempt: attempt + 1,
@@ -795,7 +954,7 @@ impl SessionCore {
                     self.arm(ctx.now, self.retry.backoff(attempt + 1));
                     Status::Active
                 } else {
-                    self.finish_complete()
+                    self.finish_complete(ctx)
                 }
             }
         }
@@ -837,8 +996,6 @@ mod tests {
                 Duration::ZERO,
                 fec,
                 SessionLimits::unlimited(),
-                ServerTelem::default_global(),
-                SessionRecorder::disabled(),
                 0,
             );
             Harness {
@@ -879,6 +1036,13 @@ mod tests {
             self.out
                 .drain(|d| msgs.push(wire::decode(d).expect("session datagrams decode").1));
             msgs
+        }
+
+        /// Empties the effects the core has reported, each with its stamp.
+        fn effects(&mut self) -> Vec<(u64, Effect)> {
+            let mut effects = Vec::new();
+            self.out.drain_effects(|at, e| effects.push((at, e)));
+            effects
         }
     }
 
@@ -1091,6 +1255,17 @@ mod tests {
             msgs.iter().any(|m| matches!(m, Msg::WindowEnd(_))),
             "the window still ends with a WindowEnd"
         );
+        // Each shed frame is reported once, at the clock of its pump.
+        let shed: std::collections::HashSet<usize> = h
+            .effects()
+            .into_iter()
+            .filter_map(|e| match e {
+                (T0, Effect::ShedEnhancement(f)) => Some(f.frame as usize),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(shed.len() + sent.len(), frames, "shed or sent, never both");
+        assert!(shed.is_disjoint(&critical));
     }
 
     #[test]
@@ -1105,8 +1280,13 @@ mod tests {
         // Past the playout deadline: the round is answered (WindowEnd)
         // but nothing is retransmitted.
         h.core.closed_at = T0 - 100_000;
+        let _ = h.effects();
         h.at(T0, |c, ctx| c.on_msg(&nack, ctx.now, ctx));
         let msgs = h.drain();
+        let at = FrameLabels::new(1, 0, 0);
+        let nacked = [Effect::NackReceived(at), Effect::ShedStaleRetx(at)];
+        let reported: Vec<Effect> = h.effects().into_iter().map(|e| e.1).collect();
+        assert_eq!(reported[..2], nacked, "a stale round reports the skip");
         assert!(
             !msgs.iter().any(Msg::is_data),
             "stale recovery rounds must not retransmit: {msgs:?}"
@@ -1124,6 +1304,9 @@ mod tests {
                 .any(|m| matches!(m, Msg::Data(d) if d.fragment.retransmit)),
             "fresh recovery rounds keep retransmitting"
         );
+        let reported: Vec<Effect> = h.effects().into_iter().map(|e| e.1).collect();
+        assert_eq!(reported[..2], [nacked[0], Effect::Retransmission]);
+        assert!(matches!(reported[2], Effect::Sent(l) if l.retransmit && l.frame == 0));
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! [`SessionCore`] beside its peer's address, so no lock is taken on the
 //! datagram path. [`Shard::run`] is the session path's only clock read
 //! and only send: it hands each session call the time, then sends what
-//! the call queued to the peer, in encode order, before the next call.
+//! the call queued to the peer, in encode order, and folds the call's
+//! effects into the counters and the flight recorder, before the next
+//! call.
 //! Sessions keep their own deadlines ([`SessionCore::next_deadline`]),
 //! so a cancelled timer cannot wake the shard.
 //!
@@ -65,9 +67,10 @@ struct Entry {
     core: SessionCore,
 }
 
-/// A shard's sessions and the reusable buffers of one pass over them.
-#[derive(Default)]
+/// A shard's sessions, the books their effects fold into, and the
+/// reusable buffers of one pass over them.
 struct Table {
+    telem: ServerTelem,
     sessions: HashMap<u32, Entry>,
     /// The datagrams of the session call in progress.
     out: OutQueue,
@@ -80,10 +83,21 @@ struct Table {
 }
 
 impl Table {
+    fn new(telem: ServerTelem) -> Self {
+        Table {
+            telem,
+            sessions: HashMap::new(),
+            out: OutQueue::default(),
+            timers: Vec::new(),
+            due: Vec::new(),
+            finished: Vec::new(),
+        }
+    }
+
     /// Runs `f` on session `conn` at `now`, then hands each datagram it
-    /// queued to `send` with the session's peer, in encode order. A
-    /// session that finished is left in `finished` for the reap. `None`
-    /// when `conn` is not in the table.
+    /// queued to `send` with the session's peer, in encode order, and
+    /// folds each effect it reported. A session that finished is left in
+    /// `finished` for the reap. `None` when `conn` is not in the table.
     fn call(
         &mut self,
         conn: u32,
@@ -100,6 +114,8 @@ impl Table {
             },
         );
         self.out.drain(|datagram| send(entry.peer, datagram));
+        let telem = &self.telem;
+        self.out.drain_effects(|at, effect| telem.fold(at, effect));
         if status == Status::Finished {
             self.finished.push(conn);
         }
@@ -144,7 +160,7 @@ impl Table {
 
 impl Shard {
     pub(crate) fn run(self) {
-        let mut table = Table::default();
+        let mut table = Table::new(self.telem.clone());
         let clock = || us(self.epoch.elapsed());
         let mut send = |peer, datagram: &[u8]| self.telem.send_to(&self.socket, datagram, peer);
         while !self.shutdown.load(AtomicOrdering::SeqCst) {
@@ -171,7 +187,7 @@ impl Shard {
                     },
                 },
             };
-            self.telem.on_shard_wakeup();
+            self.telem.shard_wakeups.inc();
             while let Some(ev) = next {
                 let now = clock();
                 match ev {
@@ -200,7 +216,7 @@ impl Shard {
         for conn in table.finished.drain(..) {
             if table.sessions.remove(&conn).is_some() {
                 self.live_gauge.fetch_sub(1, AtomicOrdering::SeqCst);
-                self.telem.on_session_reaped();
+                self.telem.sessions_reaped.inc();
                 let _ = self.reaped.send(conn);
             }
         }
@@ -242,7 +258,7 @@ mod tests {
     }
 
     /// A one-window session opened at `at`.
-    fn session(conn: u32, retry: RetryPolicy, telem: ServerTelem, at: u64) -> SessionCore {
+    fn session(conn: u32, retry: RetryPolicy, at: u64) -> SessionCore {
         let trace = MpegTrace::new(Movie::JurassicPark, 1);
         SessionCore::new(
             conn,
@@ -252,8 +268,6 @@ mod tests {
             Duration::ZERO,
             FecPolicy::off(),
             SessionLimits::unlimited(),
-            telem,
-            SessionRecorder::disabled(),
             at,
         )
     }
@@ -264,11 +278,19 @@ mod tests {
         SocketAddr::from(([127, 0, 0, 1], 10_000 + conn as u16))
     }
 
-    #[derive(Default)]
     struct Rig {
         table: Table,
         /// `(conn, msg)` of every datagram sent since the last drain.
         sent: Vec<(u32, Msg)>,
+    }
+
+    impl Default for Rig {
+        fn default() -> Self {
+            Rig {
+                table: Table::new(ServerTelem::new(SessionRecorder::disabled())),
+                sent: Vec::new(),
+            }
+        }
     }
 
     /// Decodes one sent datagram, checking it went to its session's peer.
@@ -295,7 +317,7 @@ mod tests {
         /// and pumped until its window closes, so its first ACK deadline
         /// is `at + retry.backoff(0)`.
         fn open(&mut self, conn: u32, retry: RetryPolicy, at: u64) {
-            let core = session(conn, retry, ServerTelem::default_global(), at);
+            let core = session(conn, retry, at);
             let peer = peer(conn);
             self.table.sessions.insert(conn, Entry { peer, core });
             self.call(conn, at, SessionCore::start);
@@ -342,10 +364,10 @@ mod tests {
     #[test]
     fn send_failures_are_counted_not_discarded() {
         let registry = Registry::new();
-        let telem = with_current(&registry, ServerTelem::default_global);
+        let telem = with_current(&registry, || ServerTelem::new(SessionRecorder::disabled()));
         let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let mut table = Table::default();
-        let core = session(1, RetryPolicy::lan(), telem.clone(), 0);
+        let mut table = Table::new(telem.clone());
+        let core = session(1, RetryPolicy::lan(), 0);
         let peer = SocketAddr::from(([127, 0, 0, 1], 0));
         table.sessions.insert(1, Entry { peer, core });
         let mut produced = 0;

@@ -52,7 +52,8 @@ use std::fmt;
 use espread_protocol::{Fragment, Ldu, Ordering};
 
 /// The data-path messages are the client window's own types; this module
-/// gives them their wire encoding.
+/// gives them their wire encoding. The re-export stays while
+/// `benchmark/src/replay.rs` imports them from here (ROADMAP item 12).
 pub use espread_protocol::client::{DataMsg, ParityMember, ParityMsg};
 
 /// The protocol magic, `"ESPR"` as a big-endian u32.
@@ -618,8 +619,9 @@ pub fn peek_conn(datagram: &[u8]) -> Option<u32> {
     ]))
 }
 
-/// The addressing labels of a data datagram, peeked without decoding the
-/// payload — what the fault proxy stamps on its flight-recorder events.
+/// The addressing labels of a data datagram — what the fault proxy peeks
+/// without decoding the payload, and what the cores' data effects carry
+/// to the flight recorder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DataLabels {
     /// Connection id from the header.

@@ -8,7 +8,7 @@
 //!    After warm-up laps fill the scratch pools, a measured lap over the
 //!    whole message set must allocate nothing: decodes pop pooled
 //!    buffers, recycles return them.
-//! 2. **`NetWindow` reassembly** — a warm-up window performs a *real*
+//! 2. **`ClientWindow` reassembly** — a warm-up window performs a *real*
 //!    erasure decode (losing a fragment and recovering it from parity),
 //!    which is allowed to allocate: it sizes the flag pools, the parity
 //!    group pool, and the [`RecoverScratch`] shard tables. Every window
@@ -23,11 +23,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
-use espread_net::clientwin::{NetWindow, NetWindowOutcome, RecoverScratch};
+use espread_net::clientwin::RecoverScratch;
 use espread_net::wire::{
-    self, Accept, ByeReason, CriticalNackMsg, DataMsg, DecodeScratch, Hello, Msg, ParityMember,
-    ParityMsg, Reject, WindowAckMsg, WindowEnd,
+    self, Accept, ByeReason, CriticalNackMsg, DecodeScratch, Hello, Msg, Reject, WindowAckMsg,
+    WindowEnd,
 };
+use espread_protocol::client::{ClientWindow, DataMsg, ParityMember, ParityMsg, WindowOutcome};
 use espread_protocol::{Fragment, Ldu, Ordering};
 
 struct CountingAlloc;
@@ -168,12 +169,12 @@ fn data(window: u64, frame: usize, frag: u16) -> DataMsg {
 /// arrives, recovery finds nothing erased, the window closes and the
 /// tracker re-arms for the next.
 fn window_lap(
-    win: &mut NetWindow,
+    win: &mut ClientWindow,
     window: u64,
     parity: &mut ParityMsg,
     rs: &mut RecoverScratch,
     nack: &mut Vec<u16>,
-    outcome: &mut NetWindowOutcome,
+    outcome: &mut WindowOutcome,
 ) {
     for frame in 0..4 {
         for frag in 0..2 {
@@ -220,7 +221,7 @@ fn steady_state_wire_and_reassembly_do_not_allocate() {
         "steady-state encode/decode/recycle laps must not allocate, saw {wire_delta} in the quietest round"
     );
 
-    // ---- Phase 2: NetWindow reassembly ----
+    // ---- Phase 2: ClientWindow reassembly ----
     let mut parity = ParityMsg {
         window: 0,
         group: 0,
@@ -242,12 +243,12 @@ fn steady_state_wire_and_reassembly_do_not_allocate() {
     };
     let mut rs = RecoverScratch::default();
     let mut nack: Vec<u16> = Vec::with_capacity(4);
-    let mut outcome = NetWindowOutcome::default();
+    let mut outcome = WindowOutcome::default();
 
     // Warm-up window 0: drop frame 2's second fragment and recover it
     // from parity — the one real decode, which may allocate (flag pools,
     // group pool, codec shard tables all size themselves here).
-    let mut win = NetWindow::new(0, 4, &[2, 2], &[0, 1]);
+    let mut win = ClientWindow::new(0, 4, &[2, 2], &[0, 1]);
     for frame in 0..4 {
         for frag in 0..2 {
             if frame == 2 && frag == 1 {

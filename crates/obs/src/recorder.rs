@@ -1,10 +1,13 @@
 //! The bounded, lock-cheap flight recorder.
 //!
 //! A [`FlightRecorder`] owns a preallocated ring of [`ObsEvent`]s behind a
-//! `Mutex`. The steady-state [`record`](FlightRecorder::record) path reads
-//! the monotonic clock, takes the lock, and stores one `Copy` struct into
-//! a slot that already exists — **zero heap allocations** (asserted by a
-//! counting-allocator test) and no unbounded growth: when the ring is
+//! `Mutex`. The steady-state [`record`](FlightRecorder::record) path takes
+//! the lock, reads the monotonic clock, and stores one `Copy` struct into
+//! a slot that already exists; [`record_at`](FlightRecorder::record_at)
+//! stores a timestamp its caller already read from the recorder's
+//! [`epoch`](FlightRecorder::epoch). Either way: **zero heap
+//! allocations** (asserted by a counting-allocator test) and no
+//! unbounded growth: when the ring is
 //! full the oldest event is overwritten and a drop counter increments, so
 //! a runaway session can never exhaust memory, only shorten its history.
 //!
@@ -112,30 +115,41 @@ impl FlightRecorder {
         self.inner.role
     }
 
-    /// Records one event. Steady-state cost: one clock read, one mutex
-    /// lock, one in-place store — no allocation, ever.
+    /// The instant this recorder's timestamps count µs from. A transport
+    /// that takes it as its own clock epoch can hand its clock values
+    /// straight to [`record_at`](Self::record_at).
+    pub fn epoch(&self) -> Instant {
+        self.inner.epoch
+    }
+
+    /// Records one event stamped now. Steady-state cost: one mutex lock,
+    /// one clock read, one in-place store — no allocation, ever.
     #[inline]
     pub fn record(&self, kind: EventKind, conn: u32, window: u64, frame: u32, detail: u32) {
         let mut ring = lock(&self.inner.ring);
         // Clock read under the lock: the ring is the serialisation
-        // point, so merged timestamps are monotonic in insertion order.
+        // point, so the stamps of `record` calls are monotonic in
+        // insertion order across every thread that records this way.
         let t_us = self.inner.epoch.elapsed().as_micros() as u64;
-        let capacity = ring.buf.len();
-        let head = ring.head;
-        ring.buf[head] = ObsEvent {
-            t_us,
-            conn,
-            window,
-            frame,
-            kind,
-            detail,
-        };
-        ring.head = (head + 1) % capacity;
-        if ring.len < capacity {
-            ring.len += 1;
-        } else {
-            ring.dropped += 1;
-        }
+        ring.push(t_us, kind, conn, window, frame, detail);
+    }
+
+    /// Records one event stamped `t_us` µs after [`epoch`](Self::epoch)
+    /// by a caller that has already read its clock: one lock and one
+    /// in-place store. Events keep insertion order, so the stamps are
+    /// monotonic for each writer whose clock is (a server shard, a
+    /// client thread), but not across writers.
+    #[inline]
+    pub fn record_at(
+        &self,
+        t_us: u64,
+        kind: EventKind,
+        conn: u32,
+        window: u64,
+        frame: u32,
+        detail: u32,
+    ) {
+        lock(&self.inner.ring).push(t_us, kind, conn, window, frame, detail);
     }
 
     /// Events overwritten so far.
@@ -171,6 +185,36 @@ impl FlightRecorder {
             capacity,
             dropped: ring.dropped,
             events,
+        }
+    }
+}
+
+impl Ring {
+    /// Stores one event in the next slot, overwriting the oldest when
+    /// the ring is full.
+    fn push(
+        &mut self,
+        t_us: u64,
+        kind: EventKind,
+        conn: u32,
+        window: u64,
+        frame: u32,
+        detail: u32,
+    ) {
+        let capacity = self.buf.len();
+        self.buf[self.head] = ObsEvent {
+            t_us,
+            conn,
+            window,
+            frame,
+            kind,
+            detail,
+        };
+        self.head = (self.head + 1) % capacity;
+        if self.len < capacity {
+            self.len += 1;
+        } else {
+            self.dropped += 1;
         }
     }
 }
@@ -215,6 +259,24 @@ mod tests {
                 assert!(e.t_us >= recording.events[i - 1].t_us);
             }
         }
+    }
+
+    #[test]
+    fn record_at_keeps_the_callers_stamp_and_epoch_is_shared() {
+        let (server, _, client) = trio(8, 0);
+        assert_eq!(server.epoch(), client.epoch(), "one clock for the trio");
+        server.record_at(40, EventKind::Sent, 1, 0, 0, 0);
+        server.record_at(7, EventKind::Sent, 2, 0, 0, 0);
+        let stamps: Vec<u64> = server.recording().events.iter().map(|e| e.t_us).collect();
+        assert_eq!(stamps, [40, 7], "kept as given, in insertion order");
+        let before = server.epoch().elapsed().as_micros() as u64;
+        server.record(EventKind::Sent, 1, 0, 1, 0);
+        let after = server.epoch().elapsed().as_micros() as u64;
+        let stamped = server.recording().events[2].t_us;
+        assert!(
+            (before..=after).contains(&stamped),
+            "record() reads the epoch's clock"
+        );
     }
 
     #[test]
