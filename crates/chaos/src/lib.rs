@@ -8,7 +8,7 @@
 //! checking invariants after every run:
 //!
 //! * **No panic, no stall.** Every cell runs under
-//!   [`espread_exec::isolate`]'s watchdog; both failure modes become
+//!   [`espread_exec::isolate()`]'s watchdog; both failure modes become
 //!   typed violations instead of a dead process.
 //! * **Typed outcomes only.** Every session reaches teardown with a
 //!   completion report or a typed [`espread_net::NetError`].

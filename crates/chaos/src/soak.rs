@@ -4,7 +4,7 @@
 //! ([`crate::codec::check`]), then drives a real client/server/proxy
 //! session (or two, in compare mode) under the seed's
 //! [`FaultSchedule`]. Both stages run inside
-//! [`espread_exec::isolate`], so a panic anywhere in the stack or a
+//! [`espread_exec::isolate()`], so a panic anywhere in the stack or a
 //! session that never reaches teardown becomes a recorded violation
 //! instead of a dead soak.
 //!

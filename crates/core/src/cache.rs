@@ -217,7 +217,7 @@ fn layered_cache() -> &'static OrderCache<(u64, usize), LayeredOrder> {
     })
 }
 
-/// [`calculate_permutation`](crate::calculate_permutation) through the
+/// [`calculate_permutation`] through the
 /// process-global `(n, b)` cache. The search is deterministic, so the
 /// cached choice is exactly what a fresh call would return.
 pub fn calculate_permutation_cached(n: usize, b: usize) -> Arc<SpreadChoice> {

@@ -504,6 +504,39 @@ mod tests {
     }
 
     #[test]
+    fn k_cpo_window_sizing_consistency() {
+        // k_cpo's chosen order tolerates the burst max_tolerable_burst reports.
+        for (n, k) in [(17usize, 2usize), (24, 1), (30, 3)] {
+            let b = max_tolerable_burst(n, k);
+            let choice = k_cpo(n, k);
+            assert!(worst_case_clf(&choice.permutation, b) <= k, "n={n} k={k}");
+        }
+    }
+
+    #[test]
+    fn exhaustive_limit_is_honoured() {
+        // Below the limit the search may return the Exhaustive family; above
+        // it, never (the families must suffice).
+        for n in (EXHAUSTIVE_LIMIT + 1)..=16 {
+            for b in 1..n {
+                let c = calculate_permutation(n, b);
+                assert_ne!(c.family, OrderFamily::Exhaustive, "n={n} b={b}");
+            }
+        }
+    }
+
+    #[test]
+    fn spread_gap_of_optimal_orders_exceeds_one() {
+        // Whenever CLF 1 is achieved against b ≥ 2, lost frames are pairwise
+        // non-adjacent, i.e. the minimum spread gap is at least 2.
+        for (n, b) in [(17usize, 5usize), (16, 4), (25, 5)] {
+            let c = calculate_permutation(n, b);
+            assert_eq!(c.worst_clf, 1);
+            assert!(min_spread_gap(&c.permutation, b) >= 2, "n={n} b={b}");
+        }
+    }
+
+    #[test]
     fn min_window_inverts_the_guarantee() {
         // The returned window really meets the tolerance, and nothing
         // smaller does.

@@ -49,6 +49,7 @@ pub fn inverse_binary_order(n: usize) -> Permutation {
 mod tests {
     use super::*;
     use crate::burst::worst_case_clf;
+    use crate::cache::calculate_permutation_cached;
     use crate::cpo::calculate_permutation;
 
     #[test]
@@ -87,12 +88,14 @@ mod tests {
     #[test]
     fn ibo_degrades_past_half_window() {
         // Table 2's pathological scenario: losing more than half the
-        // window makes IBO's CLF jump while CPO stays at the bound.
+        // window makes IBO's CLF jump while CPO stays at the bound. CPO is
+        // no worse at any burst size, measured on the cached order the
+        // protocol transmits.
         let n = 8;
         let ibo = inverse_binary_order(n);
-        for b in 5..8 {
+        for b in 1..8 {
             let ibo_clf = worst_case_clf(&ibo, b);
-            let cpo_clf = calculate_permutation(n, b).worst_clf;
+            let cpo_clf = worst_case_clf(&calculate_permutation_cached(n, b).permutation, b);
             assert!(
                 cpo_clf <= ibo_clf,
                 "CPO must not be worse: b={b} cpo={cpo_clf} ibo={ibo_clf}"

@@ -249,4 +249,19 @@ mod tests {
         ];
         let _ = rank_orders(&orders, 1, || Box::new(|| false));
     }
+
+    #[test]
+    fn monte_carlo_series_length_and_range() {
+        let perm = crate::cpo::calculate_permutation(12, 3).permutation;
+        let mut flip = false;
+        let mut process = move || {
+            flip = !flip;
+            flip
+        };
+        let series = monte_carlo_series(&perm, 7, &mut process);
+        assert_eq!(series.len(), 7);
+        for m in series.windows() {
+            assert_eq!(m.lost(), 6); // alternating process loses half
+        }
+    }
 }

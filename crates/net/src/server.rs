@@ -4,9 +4,9 @@
 //! handshakes (idempotently — a duplicate `Hello` gets the cached reply,
 //! from a TTL/LRU-bounded cache), assigns connection ids that are never
 //! reused while live, and routes decoded control datagrams to a fixed
-//! pool of worker event loops (see [`crate::shard`]) over channels —
+//! pool of worker event loops (see the `shard` module) over channels —
 //! shard = `conn_id % workers`. Sessions are `poll()`-able state objects
-//! ([`crate::session`]), not threads: each shard drives hundreds of them,
+//! (the `session` module), not threads: each shard drives hundreds of them,
 //! each keeping its own deadlines, through a reusable encode buffer, and
 //! reaps them from the connection table the moment they finish.
 //! Malformed datagrams are counted and dropped, never trusted.

@@ -333,6 +333,17 @@ mod tests {
     }
 
     #[test]
+    fn ibo_plan_on_audio_is_pure_ibo() {
+        // An antichain has one non-critical layer, so the IBO ordering is the
+        // bit-reversal of the whole window.
+        let poset = espread_trace::AudioStream::sun_audio().dependency_poset(8);
+        let plan = WindowPlan::build(Ordering::Ibo, &poset, &[]);
+        let order: Vec<usize> = plan.schedule.iter().map(|s| s.frame).collect();
+        assert_eq!(order, vec![0, 4, 2, 6, 1, 5, 3, 7]);
+        assert_eq!(plan.critical_prefix, 0);
+    }
+
+    #[test]
     fn adaptive_estimates_feed_non_critical_layers() {
         let poset = poset2();
         let a = WindowPlan::build(Ordering::spread(), &poset, &[1, 1, 1, 1, 2]);

@@ -428,4 +428,26 @@ mod tests {
             .critical_frames()
             .eq(agreed.critical_frames.iter().copied()));
     }
+
+    #[test]
+    fn negotiation_drives_a_real_session() {
+        // End-to-end: negotiate, then stream with the agreed parameters.
+        use crate::{ProtocolConfig, Session, StreamSource};
+        use espread_trace::{Movie, MpegTrace};
+        let offer = SessionOffer {
+            gops_per_window: 1,
+            ..paper_offer()
+        };
+        let agreed = negotiate(offer, ClientCapabilities::interactive()).expect("fits");
+        let trace = MpegTrace::new(Movie::JurassicPark, 1);
+        let src = StreamSource::mpeg(
+            &trace,
+            agreed.offer.gops_per_window,
+            10,
+            agreed.offer.open_gop,
+        );
+        let report = Session::new(ProtocolConfig::paper(0.6, 31), src).run();
+        assert_eq!(report.series.len(), 10);
+        assert_eq!(report.estimate_history[0].len(), agreed.layer_sizes.len());
+    }
 }

@@ -54,7 +54,7 @@ impl Gauge {
     }
 }
 
-/// A log-linear histogram handle (see [`crate::hist`] for bucketing).
+/// A log-linear histogram handle (see the `hist` module for bucketing).
 #[derive(Debug, Clone)]
 pub struct Histogram(Arc<HistogramCore>);
 

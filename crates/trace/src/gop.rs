@@ -349,6 +349,19 @@ mod tests {
     }
 
     #[test]
+    fn gop15_layer_structure() {
+        // GOP 15 = I BB P BB P BB P BB P BB: chain I<P1<P2<P3<P4 plus B's.
+        let poset = GopPattern::gop15().dependency_poset(1, false);
+        assert_eq!(poset.len(), 15);
+        assert_eq!(poset.height(), 6);
+        let layers = poset.depth_decomposition();
+        assert_eq!(layers.len(), 6);
+        assert_eq!(layers[0], vec![0]); // the I frame
+        assert_eq!(layers[5].len(), 10); // all B frames
+        assert_eq!(poset.width(), 10);
+    }
+
+    #[test]
     fn two_gop_buffer_layers_group_anchor_positions() {
         let p = GopPattern::gop12().dependency_poset(2, false);
         let layers = p.depth_decomposition();

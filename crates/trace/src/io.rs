@@ -130,6 +130,16 @@ mod tests {
     }
 
     #[test]
+    fn trace_io_round_trips_every_movie() {
+        for movie in Movie::ALL {
+            let frames = MpegTrace::new(movie, 4).gops(3);
+            let mut buf = Vec::new();
+            write_trace(&mut buf, &frames).unwrap();
+            assert_eq!(read_trace(buf.as_slice()).unwrap(), frames);
+        }
+    }
+
+    #[test]
     fn comments_and_blanks_skipped() {
         let text = "# header\n\n0 I 100\n  \n1 B 50\n# trailing\n";
         let frames = read_trace(text.as_bytes()).unwrap();

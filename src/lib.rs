@@ -21,7 +21,6 @@
 //! | [`netsim`] | deterministic event simulator, Gilbert loss channel, UDP-like links |
 //! | [`protocol`] | the adaptive transmission protocol, retransmission, FEC, baselines |
 //! | [`net`] | the protocol over real UDP: wire codec, server/client, fault proxy |
-//! | [`cmt`] | a mini Continuous Media Toolkit with the IBO ↔ CPO plug point |
 //! | [`obs`] | causal flight recorder, session dumps, per-loss timeline attribution |
 //!
 //! # Quick start
@@ -51,7 +50,6 @@
 
 pub mod guide;
 
-pub use espread_cmt as cmt;
 pub use espread_core as core;
 pub use espread_fec as fec;
 pub use espread_net as net;
@@ -64,7 +62,6 @@ pub use espread_trace as trace;
 
 /// One-stop imports for the common workflow.
 pub mod prelude {
-    pub use espread_cmt::{BFrameOrdering, Pipeline, PipelineConfig};
     pub use espread_core::{
         calculate_permutation, clf_lower_bound, k_cpo, max_tolerable_burst, theorem_one,
         worst_case_clf, worst_case_clf_multi, BurstEstimator, LayeredOrder, Permutation,

@@ -1,8 +1,7 @@
 //! Integration tests for the reproduction's extension features:
 //! concealment synergy, timing accounting, drop-tail loss, critical-only
-//! FEC, multi-burst analysis, Cyclic-UDP, H.261.
+//! FEC, multi-burst analysis, retransmission under spreading, H.261.
 
-use error_spreading::cmt::{BFrameOrdering, Pipeline, PipelineConfig, SendStrategy};
 use error_spreading::core::burst::worst_case_clf_multi;
 use error_spreading::netsim::DropTailConfig;
 use error_spreading::prelude::*;
@@ -122,20 +121,14 @@ fn multi_burst_analysis_consistent_with_sessions() {
 }
 
 #[test]
-fn cyclic_udp_composes_with_cpo_ordering() {
-    let base = PipelineConfig {
-        cycles: 20,
-        p_bad: 0.6,
-        seed: 9,
-        ..PipelineConfig::default()
-    };
-    let cyclic = PipelineConfig {
-        strategy: SendStrategy::CyclicUdp { max_rounds: 3 },
-        ..base.clone()
-    };
+fn retransmission_composes_with_fixed_spreading() {
+    // NACK retransmission on top of the fixed k-CPO order costs neither
+    // delivery (ALF) nor continuity (CLF).
     let trace = MpegTrace::new(Movie::JurassicPark, 5);
-    let single = Pipeline::new(trace.clone(), &base, BFrameOrdering::Cpo { burst: 4 }).run();
-    let resent = Pipeline::new(trace, &cyclic, BFrameOrdering::Cpo { burst: 4 }).run();
+    let src = StreamSource::mpeg(&trace, 2, 20, false);
+    let base = ProtocolConfig::paper(0.6, 9).with_ordering(Ordering::Spread { adaptive: false });
+    let single = Session::new(base.clone(), src.clone()).run();
+    let resent = Session::new(base.with_recovery(Recovery::Retransmit), src).run();
     assert!(resent.summary().mean_alf <= single.summary().mean_alf);
     assert!(resent.summary().mean_clf <= single.summary().mean_clf + 1e-9);
 }
