@@ -202,7 +202,7 @@ fn main() -> ExitCode {
             },
         );
         std::hint::black_box(server.plan_window(&poset));
-        std::hint::black_box(server.take_last_adaptation());
+        std::hint::black_box(server.last_adaptation());
     });
     assert_eq!(
         server.estimates(),

@@ -151,9 +151,9 @@ impl<K: Eq + Hash + Clone, V> OrderCache<K, V> {
     /// miss. `compute` runs **without** holding the lock; on a racing miss
     /// the first insert wins and every caller gets the same `Arc`. When the
     /// insert would exceed the capacity bound, the least-recently-used
-    /// entry is evicted first.
-    pub fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> Arc<V> {
-        if let Some(hit) = self.map.read().expect("cache lock").get(&key) {
+    /// entry is evicted first. Only a miss clones the key.
+    pub fn get_or_compute(&self, key: &K, compute: impl FnOnce() -> V) -> Arc<V> {
+        if let Some(hit) = self.map.read().expect("cache lock").get(key) {
             self.stamp(hit);
             self.hits.fetch_add(1, Ordering::Relaxed);
             espread_telemetry::count(self.hit_counter, 1);
@@ -163,7 +163,7 @@ impl<K: Eq + Hash + Clone, V> OrderCache<K, V> {
         self.misses.fetch_add(1, Ordering::Relaxed);
         espread_telemetry::count(self.miss_counter, 1);
         let mut map = self.map.write().expect("cache lock");
-        if !map.contains_key(&key) && map.len() >= self.capacity {
+        if !map.contains_key(key) && map.len() >= self.capacity {
             // O(n) min-scan is fine here: eviction only runs on a miss that
             // inserts at capacity, never on the steady-state hit path.
             let victim = map
@@ -176,7 +176,7 @@ impl<K: Eq + Hash + Clone, V> OrderCache<K, V> {
                 espread_telemetry::count(self.evict_counter, 1);
             }
         }
-        let entry = map.entry(key).or_insert(Entry {
+        let entry = map.entry(key.clone()).or_insert(Entry {
             value: computed,
             last_used: AtomicU64::new(0),
         });
@@ -221,13 +221,13 @@ fn layered_cache() -> &'static OrderCache<(u64, usize), LayeredOrder> {
 /// process-global `(n, b)` cache. The search is deterministic, so the
 /// cached choice is exactly what a fresh call would return.
 pub fn calculate_permutation_cached(n: usize, b: usize) -> Arc<SpreadChoice> {
-    spread_cache().get_or_compute((n, b), || calculate_permutation(n, b))
+    spread_cache().get_or_compute(&(n, b), || calculate_permutation(n, b))
 }
 
 /// [`LayeredOrder::with_uniform_bound`] through the process-global
 /// (poset fingerprint, `b`) cache.
 pub fn layered_uniform_cached(poset: &Poset, b: usize) -> Arc<LayeredOrder> {
-    layered_cache().get_or_compute((poset.fingerprint(), b), || {
+    layered_cache().get_or_compute(&(poset.fingerprint(), b), || {
         LayeredOrder::with_uniform_bound(poset, b)
     })
 }
@@ -250,11 +250,11 @@ mod tests {
     fn miss_then_hit() {
         let cache: OrderCache<(usize, usize), SpreadChoice> =
             OrderCache::new("t.hit", "t.miss", "t.evict");
-        let first = cache.get_or_compute((17, 5), || calculate_permutation(17, 5));
+        let first = cache.get_or_compute(&(17, 5), || calculate_permutation(17, 5));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (0, 1, 1));
 
-        let second = cache.get_or_compute((17, 5), || panic!("must not recompute"));
+        let second = cache.get_or_compute(&(17, 5), || panic!("must not recompute"));
         assert!(Arc::ptr_eq(&first, &second));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
@@ -265,8 +265,8 @@ mod tests {
     fn distinct_keys_do_not_collide() {
         let cache: OrderCache<(usize, usize), usize> =
             OrderCache::new("t.hit", "t.miss", "t.evict");
-        let a = cache.get_or_compute((8, 2), || 1);
-        let b = cache.get_or_compute((8, 3), || 2);
+        let a = cache.get_or_compute(&(8, 2), || 1);
+        let b = cache.get_or_compute(&(8, 3), || 2);
         assert_eq!((*a, *b), (1, 2));
         assert_eq!(cache.stats().entries, 2);
     }
@@ -276,7 +276,7 @@ mod tests {
         let cache: OrderCache<(usize, usize), usize> =
             OrderCache::with_capacity(8, "t.hit", "t.miss", "t.evict");
         for n in 0..100 {
-            let got = cache.get_or_compute((n, 0), || n);
+            let got = cache.get_or_compute(&(n, 0), || n);
             assert_eq!(*got, n);
             assert!(
                 cache.stats().entries <= cache.capacity(),
@@ -293,15 +293,15 @@ mod tests {
     fn eviction_is_least_recently_used() {
         let cache: OrderCache<(usize, usize), usize> =
             OrderCache::with_capacity(2, "t.hit", "t.miss", "t.evict");
-        cache.get_or_compute((1, 0), || 1);
-        cache.get_or_compute((2, 0), || 2);
+        cache.get_or_compute(&(1, 0), || 1);
+        cache.get_or_compute(&(2, 0), || 2);
         // Touch key 1 so key 2 is now the LRU victim.
-        cache.get_or_compute((1, 0), || panic!("warm"));
-        cache.get_or_compute((3, 0), || 3);
+        cache.get_or_compute(&(1, 0), || panic!("warm"));
+        cache.get_or_compute(&(3, 0), || 3);
         // Key 1 survived; key 2 was evicted and must recompute.
-        cache.get_or_compute((1, 0), || panic!("survived eviction"));
+        cache.get_or_compute(&(1, 0), || panic!("survived eviction"));
         let recomputed = std::sync::atomic::AtomicU64::new(0);
-        cache.get_or_compute((2, 0), || {
+        cache.get_or_compute(&(2, 0), || {
             recomputed.fetch_add(1, Ordering::Relaxed);
             2
         });
@@ -340,13 +340,13 @@ mod tests {
         let cache: Arc<OrderCache<(usize, usize), SpreadChoice>> =
             Arc::new(OrderCache::new("t.hit", "t.miss", "t.evict"));
         // Warm one entry, then hammer it from several threads.
-        let warm = cache.get_or_compute((17, 5), || calculate_permutation(17, 5));
+        let warm = cache.get_or_compute(&(17, 5), || calculate_permutation(17, 5));
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let cache = Arc::clone(&cache);
                 std::thread::spawn(move || {
                     (0..16)
-                        .map(|_| cache.get_or_compute((17, 5), || panic!("cache was warm")))
+                        .map(|_| cache.get_or_compute(&(17, 5), || panic!("cache was warm")))
                         .collect::<Vec<_>>()
                 })
             })
@@ -373,7 +373,7 @@ mod tests {
                 let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
                     barrier.wait();
-                    cache.get_or_compute((19, 4), || calculate_permutation(19, 4))
+                    cache.get_or_compute(&(19, 4), || calculate_permutation(19, 4))
                 })
             })
             .collect();

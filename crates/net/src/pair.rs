@@ -125,7 +125,7 @@ impl Pair {
         let mut server = SessionCore::new(
             CONN,
             ProtocolConfig::paper(0.6, 1).with_ordering(hello.ordering),
-            Arc::new(source),
+            source,
             RetryPolicy::lan(),
             Duration::ZERO,
             fec,
@@ -380,7 +380,7 @@ fn effect_buffers_keep_their_capacity_across_identical_windows() {
     let trace = MpegTrace::new(Movie::JurassicPark, 1);
     let mut source = StreamSource::mpeg(&trace, 1, 2, false);
     let first = source.windows[0].clone();
-    source.windows.fill(first);
+    Arc::make_mut(&mut source.windows).fill(first);
     let mut pair = Pair::connect_to(source, rs82(), NetClientConfig::default());
     let mut all = |_: &Msg| true;
     while pair.report.acks_sent == 0 {

@@ -236,7 +236,7 @@ impl NetServer {
         let demux = Demux {
             socket,
             epoch,
-            source: Arc::new(config.source),
+            source: config.source,
             protocol: config.protocol,
             offer: config.offer,
             retry: config.retry,
@@ -385,7 +385,7 @@ fn alloc_conn_id(next: &mut u32, live: &HashSet<u32>) -> Option<u32> {
 struct Demux {
     socket: Arc<UdpSocket>,
     epoch: Instant,
-    source: Arc<StreamSource>,
+    source: StreamSource,
     protocol: ProtocolConfig,
     offer: SessionOffer,
     retry: RetryPolicy,
@@ -538,7 +538,7 @@ impl Demux {
         let core = SessionCore::new(
             conn_id,
             self.protocol.clone().with_ordering(hello.ordering),
-            Arc::clone(&self.source),
+            self.source.clone(),
             self.retry,
             self.pace,
             self.offer.fec,

@@ -317,7 +317,7 @@ struct FecState {
 pub(crate) struct SessionCore {
     conn_id: u32,
     protocol: ProtocolConfig,
-    source: Arc<StreamSource>,
+    source: StreamSource,
     retry: RetryPolicy,
     pace: Duration,
     /// When the session was opened; `WindowEnd` stamps and RTT samples
@@ -359,7 +359,7 @@ impl SessionCore {
     pub(crate) fn new(
         conn_id: u32,
         protocol: ProtocolConfig,
-        source: Arc<StreamSource>,
+        source: StreamSource,
         retry: RetryPolicy,
         pace: Duration,
         fec: FecPolicy,
@@ -972,9 +972,9 @@ mod tests {
     /// enough past the epoch (0) to put state a second in the past.
     const T0: u64 = 10_000_000;
 
-    fn source(windows: usize) -> Arc<StreamSource> {
+    fn source(windows: usize) -> StreamSource {
         let trace = MpegTrace::new(Movie::JurassicPark, 1);
-        Arc::new(StreamSource::mpeg(&trace, 1, windows, false))
+        StreamSource::mpeg(&trace, 1, windows, false)
     }
 
     struct Harness {

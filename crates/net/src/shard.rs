@@ -230,7 +230,6 @@ mod tests {
     //! order, so the tests see the order sessions fired in.
 
     use std::collections::HashMap;
-    use std::sync::Arc;
     use std::time::Duration;
 
     use espread_protocol::{FecPolicy, ProtocolConfig, StreamSource};
@@ -263,7 +262,7 @@ mod tests {
         SessionCore::new(
             conn,
             ProtocolConfig::paper(0.6, 1),
-            Arc::new(StreamSource::mpeg(&trace, 1, 1, false)),
+            StreamSource::mpeg(&trace, 1, 1, false),
             retry,
             Duration::ZERO,
             FecPolicy::off(),

@@ -12,6 +12,12 @@
 //! labels are rejected (counted upstream as bad fragments), and a frame
 //! no fragment of ever arrives for is simply lost.
 //!
+//! Reassembly state is flat: one fragment bitset for the whole window,
+//! in which each frame takes a run of `frags_total` bits when it is first
+//! sighted, and per-frame `(frags_total, received)` counts, so a
+//! completeness check is one comparison and re-arming for the next window
+//! is a clear.
+//!
 //! The window owns no socket and no clock. Repair is split in two: the
 //! window decides *whether* a parity group repairs (its erased members
 //! are no more than its surviving parities), and a [`ShardDecoder`] does
@@ -119,13 +125,19 @@ impl ShardDecoder for VerdictOnly {
 ///
 /// A `ClientWindow` is built to be **reused**: [`ClientWindow::reset`]
 /// re-arms it for the next window while keeping every interior buffer —
-/// frame flag bitmaps, layer slot rows, parity groups — pooled for
-/// reuse, so a steady-state stream allocates only on its first window.
+/// the fragment bitset, layer slot rows, parity groups — for reuse, so a
+/// steady-state stream allocates only on its first window.
 #[derive(Debug, Clone)]
 pub struct ClientWindow {
     window: u64,
-    /// Per frame: received-fragment flags, allocated on first sighting.
-    frames: Vec<Option<Vec<bool>>>,
+    /// Per frame: its fragment counts and where its bits start in
+    /// `frag_bits`.
+    frames: Vec<FrameState>,
+    /// Received-fragment bits of every sighted frame, frame after frame
+    /// in first-sighting order.
+    frag_bits: Vec<u64>,
+    /// Bits of `frag_bits` handed out to frames so far.
+    bits_used: usize,
     /// layer → slot → was any fragment of that slot's frame received?
     layer_slots_seen: Vec<Vec<bool>>,
     /// Kept as the wire's `u16` indices so building a `CriticalNack`
@@ -136,11 +148,25 @@ pub struct ClientWindow {
     parity_groups: Vec<ParityGroup>,
     /// Recovery staging: which members of the group under test arrived.
     present: Vec<bool>,
-    /// Retired frame-flag bitmaps awaiting reuse (filled by `reset`,
-    /// drained by `accept`/`recover_with`). Never observable in behavior.
-    spare_flags: Vec<Vec<bool>>,
     /// Retired parity groups awaiting reuse.
     spare_groups: Vec<ParityGroup>,
+}
+
+/// One frame's reassembly counts. `frags_total` is 0 until a fragment of
+/// the frame is sighted, which fixes it for the window.
+#[derive(Debug, Clone, Copy, Default)]
+struct FrameState {
+    /// The frame's first bit in `ClientWindow::frag_bits`.
+    offset: usize,
+    frags_total: u16,
+    /// Distinct fragments received (or recovered) so far.
+    received: u16,
+}
+
+impl FrameState {
+    fn is_complete(self) -> bool {
+        self.frags_total > 0 && self.received == self.frags_total
+    }
 }
 
 /// One erasure-coding group as learned from its parity messages.
@@ -202,19 +228,19 @@ impl ClientWindow {
         layer_sizes: &[u16],
         critical_frames: &[u16],
     ) -> Self {
-        ClientWindow {
+        let mut w = ClientWindow {
             window,
-            frames: vec![None; frames_per_window],
-            layer_slots_seen: layer_sizes
-                .iter()
-                .map(|&n| vec![false; usize::from(n)])
-                .collect(),
-            critical_frames: critical_frames.to_vec(),
+            frames: Vec::new(),
+            frag_bits: Vec::new(),
+            bits_used: 0,
+            layer_slots_seen: Vec::new(),
+            critical_frames: Vec::new(),
             parity_groups: Vec::new(),
             present: Vec::new(),
-            spare_flags: Vec::new(),
             spare_groups: Vec::new(),
-        }
+        };
+        w.reset(window, frames_per_window, layer_sizes, critical_frames);
+        w
     }
 
     /// Re-arms this tracker for a new window with the same or a new
@@ -229,13 +255,10 @@ impl ClientWindow {
         critical_frames: &[u16],
     ) {
         self.window = window;
-        for frame in self.frames.iter_mut() {
-            if let Some(flags) = frame.take() {
-                self.spare_flags.push(flags);
-            }
-        }
         self.frames.clear();
-        self.frames.resize(frames_per_window, None);
+        self.frames.resize(frames_per_window, FrameState::default());
+        self.frag_bits.clear();
+        self.bits_used = 0;
         self.layer_slots_seen
             .resize_with(layer_sizes.len(), Vec::new);
         for (row, &n) in self.layer_slots_seen.iter_mut().zip(layer_sizes) {
@@ -256,11 +279,13 @@ impl ClientWindow {
 
     /// Accepts one data message. Returns `false` (and changes nothing)
     /// when the labels don't fit the negotiated session — wrong window,
-    /// out-of-range frame/layer/slot, or a fragment count disagreeing
-    /// with what this frame's earlier fragments declared.
+    /// out-of-range frame/layer/slot/fragment, or a fragment count
+    /// disagreeing with what this frame's earlier fragments declared.
     pub fn accept(&mut self, msg: &DataMsg) -> bool {
         let f = &msg.fragment;
-        if f.window != self.window {
+        // frag < frags_total was already enforced by the wire decoder,
+        // but re-check: this type is constructible without it.
+        if f.window != self.window || f.frag >= f.frags_total {
             return false;
         }
         let Some(slot_row) = self.layer_slots_seen.get_mut(usize::from(f.layer)) else {
@@ -269,20 +294,18 @@ impl ClientWindow {
         let Some(slot_cell) = slot_row.get_mut(usize::from(f.layer_slot)) else {
             return false;
         };
-        let Some(frame) = self.frames.get_mut(f.frame) else {
+        let Some(state) = self.frames.get_mut(f.frame) else {
             return false;
         };
-        let flags = frame
-            .get_or_insert_with(|| take_flags(&mut self.spare_flags, usize::from(f.frags_total)));
-        if flags.len() != usize::from(f.frags_total) {
+        if !mark(
+            &mut self.frag_bits,
+            &mut self.bits_used,
+            state,
+            f.frags_total,
+            f.frag,
+        ) {
             return false;
         }
-        // frag < frags_total was already enforced by the wire decoder,
-        // but re-check: this type is constructible without it.
-        let Some(cell) = flags.get_mut(usize::from(f.frag)) else {
-            return false;
-        };
-        *cell = true;
         *slot_cell = true;
         true
     }
@@ -291,10 +314,7 @@ impl ClientWindow {
     /// indices read as incomplete — a hostile Accept can name critical
     /// frames past `frames_per_window`, and that must not panic here.
     pub fn is_complete(&self, frame: usize) -> bool {
-        self.frames
-            .get(frame)
-            .and_then(|f| f.as_ref())
-            .is_some_and(|flags| flags.iter().all(|&r| r))
+        self.frames.get(frame).is_some_and(|s| s.is_complete())
     }
 
     /// Accepts one parity message. Returns `false` (and changes nothing)
@@ -356,12 +376,11 @@ impl ClientWindow {
         for gi in 0..self.parity_groups.len() {
             let g = &self.parity_groups[gi];
             self.present.clear();
+            let (frames, bits) = (&self.frames, &self.frag_bits);
             self.present.extend(g.members.iter().map(|mem| {
-                self.frames[usize::from(mem.frame)]
-                    .as_ref()
-                    .is_some_and(|flags| {
-                        flags.len() == usize::from(mem.frags_total) && flags[usize::from(mem.frag)]
-                    })
+                let state = frames[usize::from(mem.frame)];
+                state.frags_total == mem.frags_total
+                    && bit(bits, state.offset + usize::from(mem.frag))
             }));
             let erased = self.present.iter().filter(|&&p| !p).count();
             if erased == 0 {
@@ -383,12 +402,14 @@ impl ClientWindow {
                 if self.present[mi] {
                     continue;
                 }
-                let frame = &mut self.frames[usize::from(mem.frame)];
-                let flags = frame.get_or_insert_with(|| {
-                    take_flags(&mut self.spare_flags, usize::from(mem.frags_total))
-                });
-                if flags.len() == usize::from(mem.frags_total) {
-                    flags[usize::from(mem.frag)] = true;
+                let state = &mut self.frames[usize::from(mem.frame)];
+                if mark(
+                    &mut self.frag_bits,
+                    &mut self.bits_used,
+                    state,
+                    mem.frags_total,
+                    mem.frag,
+                ) {
                     out.recovered += 1;
                 }
             }
@@ -431,7 +452,7 @@ impl ClientWindow {
     pub fn close_into(&self, out: &mut WindowOutcome) {
         out.window = self.window;
         out.pattern
-            .set_from_received((0..self.frames.len()).map(|f| self.is_complete(f)));
+            .set_from_received(self.frames.iter().map(|s| s.is_complete()));
         out.per_layer_burst.clear();
         out.per_layer_burst
             .extend(self.layer_slots_seen.iter().map(|row| {
@@ -450,12 +471,38 @@ impl ClientWindow {
     }
 }
 
-/// Pops a recycled flag bitmap (or makes one) sized to `len`, all false.
-fn take_flags(pool: &mut Vec<Vec<bool>>, len: usize) -> Vec<bool> {
-    let mut flags = pool.pop().unwrap_or_default();
-    flags.clear();
-    flags.resize(len, false);
-    flags
+/// Marks fragment `frag` of a frame of `frags_total` fragments received.
+/// An unsighted frame first takes the next `frags_total` bits of `bits`;
+/// a sighted one must have declared the same count, else nothing changes
+/// and the answer is `false`. The caller has checked `frag < frags_total`.
+fn mark(
+    bits: &mut Vec<u64>,
+    bits_used: &mut usize,
+    state: &mut FrameState,
+    frags_total: u16,
+    frag: u16,
+) -> bool {
+    if state.frags_total == 0 {
+        state.frags_total = frags_total;
+        state.offset = *bits_used;
+        *bits_used += usize::from(frags_total);
+        bits.resize(bits_used.div_ceil(64), 0);
+    } else if state.frags_total != frags_total {
+        return false;
+    }
+    let i = state.offset + usize::from(frag);
+    let word = &mut bits[i / 64];
+    let mask = 1u64 << (i % 64);
+    if *word & mask == 0 {
+        *word |= mask;
+        state.received += 1;
+    }
+    true
+}
+
+/// Bit `i` of `bits`.
+fn bit(bits: &[u64], i: usize) -> bool {
+    bits[i / 64] & (1u64 << (i % 64)) != 0
 }
 
 #[cfg(test)]
@@ -747,5 +794,292 @@ mod tests {
         assert!(w.accept(&data(0, 2, 0, 1, 1, 0)));
         assert!(w.accept(&data(0, 2, 0, 1, 1, 0)));
         assert!(w.is_complete(2));
+    }
+
+    #[test]
+    fn a_rejected_first_fragment_sights_nothing() {
+        let mut w = window();
+        assert!(!w.accept(&data(0, 0, 0, 0, 0, 0)), "zero fragment count");
+        assert!(!w.accept(&data(0, 0, 3, 2, 0, 0)), "frag >= frags_total");
+        assert!(!w.is_complete(0));
+        // Frame 0's count is still open: a valid fragment fixes it.
+        assert!(w.accept(&data(0, 0, 0, 1, 0, 0)));
+        assert!(w.is_complete(0));
+        assert_eq!(w.close().per_layer_burst, vec![1, 2]);
+    }
+
+    /// The per-frame `Vec<bool>` window the flat bitset replaced, kept as
+    /// the oracle: one bitmap per sighted frame, completeness by scanning
+    /// it. Labels are checked before a frame is sighted.
+    mod oracle {
+        use super::super::*;
+
+        #[derive(Debug)]
+        pub(super) struct Oracle {
+            window: u64,
+            frames: Vec<Option<Vec<bool>>>,
+            layer_slots_seen: Vec<Vec<bool>>,
+            critical_frames: Vec<u16>,
+            groups: Vec<(ParityMsg, Vec<bool>, bool)>,
+        }
+
+        impl Oracle {
+            pub(super) fn new(
+                window: u64,
+                frames: usize,
+                layers: &[u16],
+                critical: &[u16],
+            ) -> Self {
+                Oracle {
+                    window,
+                    frames: vec![None; frames],
+                    layer_slots_seen: layers
+                        .iter()
+                        .map(|&n| vec![false; usize::from(n)])
+                        .collect(),
+                    critical_frames: critical.to_vec(),
+                    groups: Vec::new(),
+                }
+            }
+
+            pub(super) fn accept(&mut self, msg: &DataMsg) -> bool {
+                let f = &msg.fragment;
+                if f.window != self.window || f.frag >= f.frags_total {
+                    return false;
+                }
+                let Some(slot) = self
+                    .layer_slots_seen
+                    .get_mut(usize::from(f.layer))
+                    .and_then(|row| row.get_mut(usize::from(f.layer_slot)))
+                else {
+                    return false;
+                };
+                let Some(frame) = self.frames.get_mut(f.frame) else {
+                    return false;
+                };
+                let flags = frame.get_or_insert_with(|| vec![false; usize::from(f.frags_total)]);
+                if flags.len() != usize::from(f.frags_total) {
+                    return false;
+                }
+                flags[usize::from(f.frag)] = true;
+                *slot = true;
+                true
+            }
+
+            pub(super) fn is_complete(&self, frame: usize) -> bool {
+                self.frames
+                    .get(frame)
+                    .and_then(|f| f.as_ref())
+                    .is_some_and(|flags| flags.iter().all(|&r| r))
+            }
+
+            pub(super) fn accept_parity(&mut self, msg: &ParityMsg) -> bool {
+                if msg.window != self.window
+                    || msg.m == 0
+                    || msg.parity_index >= msg.m
+                    || msg.members.is_empty()
+                    || msg.members.iter().any(|mem| {
+                        usize::from(mem.frame) >= self.frames.len()
+                            || mem.frags_total == 0
+                            || mem.frag >= mem.frags_total
+                    })
+                {
+                    return false;
+                }
+                if let Some((g, seen, _)) =
+                    self.groups.iter_mut().find(|(g, ..)| g.group == msg.group)
+                {
+                    if g.m != msg.m || g.shard_bytes != msg.shard_bytes || g.members != msg.members
+                    {
+                        return false;
+                    }
+                    seen[usize::from(msg.parity_index)] = true;
+                    return true;
+                }
+                let mut seen = vec![false; usize::from(msg.m)];
+                seen[usize::from(msg.parity_index)] = true;
+                self.groups.push((msg.clone(), seen, false));
+                true
+            }
+
+            pub(super) fn recover_with(&mut self, decoder: &mut dyn ShardDecoder) -> FecRecovery {
+                let mut out = FecRecovery::default();
+                for gi in 0..self.groups.len() {
+                    let (g, seen, _) = &self.groups[gi];
+                    let present: Vec<bool> = g
+                        .members
+                        .iter()
+                        .map(|mem| {
+                            self.frames[usize::from(mem.frame)]
+                                .as_ref()
+                                .is_some_and(|flags| {
+                                    flags.len() == usize::from(mem.frags_total)
+                                        && flags[usize::from(mem.frag)]
+                                })
+                        })
+                        .collect();
+                    let erased = present.iter().filter(|&&p| !p).count();
+                    if erased == 0 {
+                        continue;
+                    }
+                    if erased > seen.iter().filter(|&&p| p).count() {
+                        let counted = &mut self.groups[gi].2;
+                        if !*counted {
+                            *counted = true;
+                            out.unrecoverable += 1;
+                        }
+                        continue;
+                    }
+                    if !decoder.rebuild(usize::from(g.shard_bytes), &present, seen) {
+                        continue;
+                    }
+                    let members = g.members.clone();
+                    for (mem, _) in members.iter().zip(&present).filter(|(_, &p)| !p) {
+                        let flags = self.frames[usize::from(mem.frame)]
+                            .get_or_insert_with(|| vec![false; usize::from(mem.frags_total)]);
+                        if flags.len() == usize::from(mem.frags_total) {
+                            flags[usize::from(mem.frag)] = true;
+                            out.recovered += 1;
+                        }
+                    }
+                }
+                out
+            }
+
+            pub(super) fn missing_critical(&self) -> Vec<u16> {
+                self.critical_frames
+                    .iter()
+                    .copied()
+                    .filter(|&f| !self.is_complete(usize::from(f)))
+                    .collect()
+            }
+
+            pub(super) fn close(&self) -> WindowOutcome {
+                let mut pattern = LossPattern::default();
+                pattern.set_from_received((0..self.frames.len()).map(|f| self.is_complete(f)));
+                let per_layer_burst = self
+                    .layer_slots_seen
+                    .iter()
+                    .map(|row| {
+                        row.split(|&seen| seen)
+                            .map(|run| run.len() as u16)
+                            .max()
+                            .unwrap_or(0)
+                    })
+                    .collect();
+                WindowOutcome {
+                    window: self.window,
+                    pattern,
+                    per_layer_burst,
+                }
+            }
+        }
+    }
+
+    mod against_the_oracle {
+        use super::oracle::Oracle;
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A decoder that declines every group.
+        struct Declines;
+        impl ShardDecoder for Declines {
+            fn rebuild(&mut self, _: usize, _: &[bool], _: &[bool]) -> bool {
+                false
+            }
+        }
+
+        /// Fragments per frame when a step keeps its labels consistent.
+        fn total(frame: usize) -> u16 {
+            1 + (frame % 3) as u16
+        }
+
+        type Step = ((u8, usize, u16, u16, u8, u16), Vec<(u16, u16, u16)>);
+
+        fn steps() -> impl Strategy<Value = Vec<Step>> {
+            prop::collection::vec(
+                (
+                    (0u8..16, 0usize..8, 0u16..5, 0u16..5, 0u8..4, 0u16..6),
+                    prop::collection::vec((0u16..8, 0u16..4, 0u16..4), 0..5),
+                ),
+                1..120,
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+            /// Every operation answers as the per-frame bitmap window
+            /// does, on consistent and hostile labels alike: changed
+            /// `frags_total`, `frag >= frags_total`, out-of-range frame,
+            /// layer and slot, wrong windows, duplicates and resets to a
+            /// new shape.
+            #[test]
+            fn the_flat_window_matches_the_per_frame_oracle(steps in steps()) {
+                let (mut window, shape) = (0u64, (4usize, vec![2u16, 2], vec![0u16, 1]));
+                let mut flat = ClientWindow::new(window, shape.0, &shape.1, &shape.2);
+                let mut oracle = Oracle::new(window, shape.0, &shape.1, &shape.2);
+                let mut outcome = WindowOutcome::default();
+                let mut missing = Vec::new();
+                for ((kind, a, b, c, d, e), members) in steps {
+                    match kind {
+                        0..=6 => {
+                            let consistent = kind < 4;
+                            let frags_total = if consistent { total(a) } else { c };
+                            let frag = if consistent { b % frags_total } else { b };
+                            let w = if kind == 6 { window + 1 } else { window };
+                            let msg = data(w, a, frag, frags_total, d, e);
+                            prop_assert_eq!(flat.accept(&msg), oracle.accept(&msg));
+                        }
+                        7..=9 => {
+                            let members: Vec<(u16, u16, u16)> = if kind == 7 {
+                                members
+                                    .iter()
+                                    .map(|&(f, g, _)| {
+                                        let t = total(usize::from(f));
+                                        (f, g % t, t)
+                                    })
+                                    .collect()
+                            } else {
+                                members
+                            };
+                            let w = if kind == 9 { window + 1 } else { window };
+                            let msg = parity(w, u32::from(d % 3), (b % 3) as u8, (c % 3) as u8, &members);
+                            prop_assert_eq!(flat.accept_parity(&msg), oracle.accept_parity(&msg));
+                        }
+                        10 => prop_assert_eq!(
+                            flat.recover_with(&mut VerdictOnly),
+                            oracle.recover_with(&mut VerdictOnly)
+                        ),
+                        11 => prop_assert_eq!(
+                            flat.recover_with(&mut Declines),
+                            oracle.recover_with(&mut Declines)
+                        ),
+                        12 => {
+                            window = if b == 0 { window } else { window + 1 };
+                            let frames = a % 7;
+                            let layers: Vec<u16> = (0..=u16::from(d)).map(|l| (e + l) % 4).collect();
+                            let critical = [b, c * 3, 9000];
+                            flat.reset(window, frames, &layers, &critical);
+                            oracle = Oracle::new(window, frames, &layers, &critical);
+                        }
+                        13 => {
+                            flat.close_into(&mut outcome);
+                            prop_assert_eq!(&outcome, &oracle.close());
+                            prop_assert_eq!(flat.close(), oracle.close());
+                        }
+                        _ => {
+                            flat.missing_critical_into(&mut missing);
+                            prop_assert_eq!(&missing, &oracle.missing_critical());
+                            prop_assert_eq!(flat.missing_critical(), oracle.missing_critical());
+                        }
+                    }
+                    for f in 0..10 {
+                        prop_assert_eq!(flat.is_complete(f), oracle.is_complete(f), "frame {}", f);
+                    }
+                }
+                flat.close_into(&mut outcome);
+                prop_assert_eq!(outcome, oracle.close());
+            }
+        }
     }
 }

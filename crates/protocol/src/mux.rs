@@ -191,8 +191,9 @@ impl MuxSession {
                 }
             }
 
-            let (audio_outcome, _) = audio_client.close(deadline);
-            let (video_outcome, _) = video_client.close(deadline);
+            audio_client.close(deadline);
+            video_client.close(deadline);
+            let (audio_outcome, video_outcome) = (&audio_client.outcome, &video_client.outcome);
             audio_series.push(ContinuityMetrics::of(&audio_outcome.pattern));
             video_series.push(ContinuityMetrics::of(&video_outcome.pattern));
             channel.send_ack(

@@ -23,7 +23,7 @@ use crate::layers::WindowPlan;
 /// One applied adaptation step: the feedback that triggered it and how the
 /// per-layer estimates moved. Plain data, so callers can observe
 /// adaptation without reading the telemetry event log.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AdaptationRecord {
     /// The window the triggering feedback described.
     pub feedback_window: u64,
@@ -65,7 +65,7 @@ fn plan_cache() -> &'static PlanCache {
 /// The plan for `key`, built on a miss from `poset` (which `key`
 /// fingerprints).
 fn cached_plan(cache: &PlanCache, key: &PlanKey, poset: &Poset) -> Arc<WindowPlan> {
-    cache.get_or_compute(key.clone(), || {
+    cache.get_or_compute(key, || {
         WindowPlan::build(key.ordering, poset, &key.estimates)
     })
 }
@@ -83,7 +83,10 @@ pub struct Server {
     layer_sizes: Vec<usize>,
     acks: AckTracker,
     last_applied_window: Option<u64>,
-    last_adaptation: Option<AdaptationRecord>,
+    /// The last adaptation, refilled in place (its vectors keep their
+    /// capacity); `adapted` says whether the last `plan_window` made it.
+    adaptation: AdaptationRecord,
+    adapted: bool,
     /// The key of `plan`; its poset fingerprint is that of the poset
     /// given to [`Server::new`], which every [`Server::plan_window`] call
     /// must pass again.
@@ -118,7 +121,8 @@ impl Server {
             layer_sizes,
             acks: AckTracker::new(),
             last_applied_window: None,
-            last_adaptation: None,
+            adaptation: AdaptationRecord::default(),
+            adapted: false,
             key: PlanKey {
                 ordering: config.ordering,
                 poset_fingerprint: poset.fingerprint(),
@@ -163,17 +167,24 @@ impl Server {
             self.key.poset_fingerprint,
             "plan_window needs the poset the server was created with"
         );
-        self.last_adaptation = None;
+        self.adapted = false;
         if let Some(fb) = self.acks.latest() {
             let newer = self
                 .last_applied_window
                 .is_none_or(|applied| fb.window > applied);
             if newer {
                 self.last_applied_window = Some(fb.window);
-                let feedback_window = fb.window;
-                let bursts = fb.per_layer_burst.clone();
-                let old_estimates = self.raw_estimates();
-                for (est, observed) in self.estimators.iter_mut().zip(&bursts) {
+                let record = &mut self.adaptation;
+                record.feedback_window = fb.window;
+                record.observed_bursts.clear();
+                record
+                    .observed_bursts
+                    .extend_from_slice(&fb.per_layer_burst);
+                record.old_estimates.clear();
+                record
+                    .old_estimates
+                    .extend(self.estimators.iter().map(BurstEstimator::value));
+                for (est, observed) in self.estimators.iter_mut().zip(&record.observed_bursts) {
                     // Feedback arrives off the network: an out-of-range
                     // observation is skipped, never a panic. (The wire's
                     // u16 burst field can't produce one today, but this
@@ -181,12 +192,11 @@ impl Server {
                     // source.)
                     let _ = est.try_observe(*observed as f64);
                 }
-                self.last_adaptation = Some(AdaptationRecord {
-                    feedback_window,
-                    observed_bursts: bursts,
-                    old_estimates,
-                    new_estimates: self.raw_estimates(),
-                });
+                record.new_estimates.clear();
+                record
+                    .new_estimates
+                    .extend(self.estimators.iter().map(BurstEstimator::value));
+                self.adapted = true;
             }
         }
         // The key is all `build` reads of the estimates: orderings that
@@ -216,10 +226,12 @@ impl Server {
     }
 
     /// The adaptation performed by the most recent [`Self::plan_window`]
-    /// call, if that call applied fresh feedback. Consumes the record, so a
-    /// planning round without new feedback reads as `None`.
-    pub fn take_last_adaptation(&mut self) -> Option<AdaptationRecord> {
-        self.last_adaptation.take()
+    /// call, if that call applied fresh feedback; a planning round without
+    /// new feedback reads as `None`. The record is lent: the server
+    /// refills it in place on the next adaptation, so a steady stream of
+    /// ACKs allocates nothing here.
+    pub fn last_adaptation(&self) -> Option<&AdaptationRecord> {
+        self.adapted.then_some(&self.adaptation)
     }
 }
 
@@ -269,6 +281,36 @@ mod tests {
         // B layer: (8 + 2) / 2 = 5.
         assert_eq!(server.estimates()[4], 5);
         assert!((server.raw_estimates()[4] - 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn last_adaptation_lends_the_applied_step() {
+        let (config, poset) = setup();
+        let mut server = Server::new(&config, &poset);
+        let _ = server.plan_window(&poset);
+        assert_eq!(server.last_adaptation(), None, "no feedback yet");
+        for (seq, b) in [(1u64, 2usize), (2, 6)] {
+            let before = server.raw_estimates();
+            server.offer_ack(
+                seq,
+                WindowFeedback {
+                    window: seq - 1,
+                    per_layer_burst: vec![1, 1, 1, 1, b],
+                },
+            );
+            let _ = server.plan_window(&poset);
+            assert_eq!(
+                server.last_adaptation(),
+                Some(&AdaptationRecord {
+                    feedback_window: seq - 1,
+                    observed_bursts: vec![1, 1, 1, 1, b],
+                    old_estimates: before,
+                    new_estimates: server.raw_estimates(),
+                })
+            );
+        }
+        let _ = server.plan_window(&poset);
+        assert_eq!(server.last_adaptation(), None, "the same ACK again");
     }
 
     #[test]

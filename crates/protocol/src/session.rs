@@ -166,13 +166,13 @@ impl Session {
         let n = self.source.frames_per_window();
         let cycle = SimDuration::from_micros(n as u64 * 1_000_000 / u64::from(cfg.fps));
 
-        let mut series = WindowSeries::new();
+        let mut series = WindowSeries::with_capacity(self.source.window_count());
         let mut patterns = Vec::with_capacity(self.source.window_count());
         let mut retransmissions = 0u64;
         let mut fec_recovered = 0u64;
         let mut dropped_frames = 0u64;
         let mut estimate_history = Vec::with_capacity(self.source.window_count());
-        let mut timing = TimingAccumulator::new();
+        let mut timing = TimingAccumulator::with_capacity(self.source.window_count() * n);
         let frame_duration = SimDuration::from_micros(1_000_000 / u64::from(cfg.fps));
         let mut critical_lost = 0u64;
         let mut critical_total = 0u64;
@@ -200,7 +200,7 @@ impl Session {
             let fed = Instant::now();
             let plan = server.plan_window(&self.source.poset);
             self.telem.feedback_and_plan(start, fed, Instant::now());
-            if let Some(record) = server.take_last_adaptation() {
+            if let Some(record) = server.last_adaptation() {
                 // Project the observed bursts through the freshly planned
                 // orders: the worst CLF the new plan would admit if each
                 // layer's reported burst recurred at the least favourable
@@ -241,8 +241,15 @@ impl Session {
                     }
                     return false;
                 }
+                // Every fragment but the last is full; the last carries
+                // the rest (`Ldu::fragment_size`, computed once).
+                let last_bytes = ldu.size_bytes - (u32::from(frags) - 1) * cfg.packet_bytes;
                 for frag in 0..frags {
-                    let payload_bytes = ldu.fragment_size(cfg.packet_bytes, frag);
+                    let payload_bytes = if frag + 1 < frags {
+                        cfg.packet_bytes
+                    } else {
+                        last_bytes
+                    };
                     // `Session::new` checked the wire limits: frame
                     // indices and payload lengths fit their u16 labels.
                     let payload_len = payload_bytes as u16;
@@ -282,7 +289,7 @@ impl Session {
             };
 
             // 2. Critical phase.
-            let send_span = self.telem.send_ns.start_timer();
+            let send_start = Instant::now();
             let (critical, rest) = plan.schedule.split_at(plan.critical_prefix);
             for sf in critical {
                 let _ = send_frame(
@@ -310,10 +317,7 @@ impl Session {
                     channel.send_ack(
                         client_sees_critical,
                         FEEDBACK_BYTES,
-                        FeedbackMsg::CriticalNack {
-                            window: w,
-                            missing: missing.clone(),
-                        },
+                        FeedbackMsg::CriticalNack { window: w, missing },
                     );
                     // The server acts on the NACK when it arrives (if it
                     // survives the reverse path). Window ACKs drained in
@@ -373,16 +377,17 @@ impl Session {
                     channel.send_data(resume_at, wire, DataPayload::Parity(p));
                 }
             }
-            drop(send_span);
+            self.telem.sent(send_start);
 
             // 5. Window close: deliver everything sent this cycle.
             let deadline = window_end + prop;
             for d in channel.poll_data(deadline) {
                 client.deliver(d.arrived_at, &d.packet.payload);
             }
-            let (outcome, repaired) = client.close(deadline);
+            let repaired = client.close(deadline);
             fec_recovered += repaired as u64;
-            timing.record_window(window_start, cycle, frame_duration, client.completions());
+            timing.record_window(window_start, cycle, frame_duration, &client.completions);
+            let outcome = &client.outcome;
             for f in plan.critical_frames() {
                 critical_total += 1;
                 critical_lost += u64::from(outcome.pattern.is_lost(f));
@@ -396,7 +401,7 @@ impl Session {
                 FEEDBACK_BYTES,
                 FeedbackMsg::WindowAck(outcome.feedback()),
             );
-            patterns.push(outcome.pattern);
+            patterns.push(outcome.pattern.clone());
         }
 
         let fstats = channel.forward().stats();
@@ -419,12 +424,15 @@ impl Session {
 
 /// The simulator's receive side: one [`ClientWindow`], reset for every
 /// window, plus the per-frame completion times [`TimingAccumulator`]
-/// reads — the window itself owns no clock.
+/// reads — the window itself owns no clock — and the outcome the window
+/// last closed into.
 #[derive(Debug)]
 pub(crate) struct SimClient {
     window: ClientWindow,
     /// When each frame of the open window finished reassembly.
     completions: Vec<Option<SimTime>>,
+    /// The last closed window's outcome, refilled by every close.
+    pub(crate) outcome: WindowOutcome,
     layer_sizes: Vec<u16>,
     critical: Vec<u16>,
 }
@@ -434,6 +442,7 @@ impl SimClient {
         SimClient {
             window: ClientWindow::new(0, 0, &[], &[]),
             completions: Vec::new(),
+            outcome: WindowOutcome::default(),
             layer_sizes: Vec::new(),
             critical: Vec::new(),
         }
@@ -482,21 +491,17 @@ impl SimClient {
     }
 
     /// Closes the window at `at`: repairs what parity covers (frames
-    /// completed only by that repair are stamped `at`) and returns the
-    /// outcome with the number of repaired fragments.
-    pub(crate) fn close(&mut self, at: SimTime) -> (WindowOutcome, usize) {
+    /// completed only by that repair are stamped `at`), closes into
+    /// `outcome` and returns the number of repaired fragments.
+    pub(crate) fn close(&mut self, at: SimTime) -> usize {
         let repaired = self.window.recover_with(&mut VerdictOnly).recovered;
         for (f, done) in self.completions.iter_mut().enumerate() {
             if done.is_none() && self.window.is_complete(f) {
                 *done = Some(at);
             }
         }
-        (self.window.close(), repaired)
-    }
-
-    /// Per-frame completion times of the window last opened.
-    pub(crate) fn completions(&self) -> &[Option<SimTime>] {
-        &self.completions
+        self.window.close_into(&mut self.outcome);
+        repaired
     }
 }
 

@@ -1,6 +1,8 @@
 //! Stream sources: sequences of buffer windows with a shared dependency
 //! poset.
 
+use std::sync::Arc;
+
 use espread_poset::Poset;
 use espread_trace::{AudioStream, MpegTrace};
 
@@ -8,12 +10,15 @@ use crate::packetize::Ldu;
 
 /// A prepared stream: `windows` buffer windows of LDUs, all sharing the
 /// same per-window dependency `poset` (fixed GOP pattern ⇒ fixed poset).
+///
+/// The poset and the windows sit behind `Arc`s, so a clone — one per
+/// session, when many sessions stream one source — copies two pointers.
 #[derive(Debug, Clone)]
 pub struct StreamSource {
     /// Per-window dependency poset (`poset.len()` = frames per window).
-    pub poset: Poset,
+    pub poset: Arc<Poset>,
     /// The LDUs of each window, in playout order.
-    pub windows: Vec<Vec<Ldu>>,
+    pub windows: Arc<Vec<Vec<Ldu>>>,
     /// Stream rate in LDUs per second (drives the buffer cycle time).
     pub fps: u32,
 }
@@ -39,8 +44,8 @@ impl StreamSource {
             })
             .collect();
         StreamSource {
-            poset,
-            windows,
+            poset: Arc::new(poset),
+            windows: Arc::new(windows),
             fps: trace.fps(),
         }
     }
@@ -54,8 +59,8 @@ impl StreamSource {
         assert!(n > 0, "window must hold at least one LDU");
         let ldu = Ldu::new(stream.ldu_bytes());
         StreamSource {
-            poset: stream.dependency_poset(n),
-            windows: vec![vec![ldu; n]; count],
+            poset: Arc::new(stream.dependency_poset(n)),
+            windows: Arc::new(vec![vec![ldu; n]; count]),
             fps: stream.ldus_per_second(),
         }
     }
@@ -83,7 +88,7 @@ mod tests {
         assert_eq!(src.frames_per_window(), 24);
         assert_eq!(src.window_count(), 10);
         assert_eq!(src.fps, 24);
-        for w in &src.windows {
+        for w in src.windows.iter() {
             assert_eq!(w.len(), 24);
             assert!(w.iter().all(|l| l.size_bytes > 0));
         }

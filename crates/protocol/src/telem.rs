@@ -14,7 +14,7 @@ pub struct SessionTelem {
     /// Span histograms of the session loop's three server phases.
     feedback_ns: Histogram,
     plan_ns: Histogram,
-    pub(crate) send_ns: Histogram,
+    send_ns: Histogram,
     alf: Gauge,
     clf: Gauge,
     projected_clf: Gauge,
@@ -54,6 +54,12 @@ impl SessionTelem {
         self.plan_ns.record((planned - fed).as_nanos() as u64);
     }
 
+    /// Records the send span, which began at `start`.
+    #[inline]
+    pub(crate) fn sent(&self, start: Instant) {
+        self.send_ns.record(start.elapsed().as_nanos() as u64);
+    }
+
     /// Records one finished window: ALF/CLF gauges plus a
     /// [`Event::WindowMetrics`] entry in the event log.
     pub(crate) fn window_metrics(&self, window: u64, lost: usize, window_len: usize, clf: usize) {
@@ -73,15 +79,15 @@ impl SessionTelem {
         });
     }
 
-    /// Logs one adaptation decision (an applied window ACK), moving the
-    /// record's vectors into the event.
-    pub(crate) fn adaptation(&self, window: u64, record: AdaptationRecord) {
-        self.registry.emit(Event::Adaptation {
+    /// Logs one adaptation decision (an applied window ACK); the record's
+    /// vectors are copied only when the event log has room for them.
+    pub(crate) fn adaptation(&self, window: u64, record: &AdaptationRecord) {
+        self.registry.emit_with(|| Event::Adaptation {
             window,
             feedback_window: record.feedback_window,
-            observed_bursts: record.observed_bursts,
-            old_estimates: record.old_estimates,
-            new_estimates: record.new_estimates,
+            observed_bursts: record.observed_bursts.clone(),
+            old_estimates: record.old_estimates.clone(),
+            new_estimates: record.new_estimates.clone(),
         });
     }
 

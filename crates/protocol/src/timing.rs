@@ -33,6 +33,9 @@ pub struct TimingStats {
 #[derive(Debug, Clone, Default)]
 pub struct TimingAccumulator {
     latencies_us: Vec<u64>,
+    /// Running sum and maximum of `latencies_us`.
+    sum_us: u64,
+    max_us: u64,
     late_frames: usize,
 }
 
@@ -40,6 +43,15 @@ impl TimingAccumulator {
     /// Creates an empty accumulator.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty accumulator with room for `frames` completions, so
+    /// recording a stream of that many frames never grows it.
+    pub fn with_capacity(frames: usize) -> Self {
+        TimingAccumulator {
+            latencies_us: Vec::with_capacity(frames),
+            ..Self::default()
+        }
     }
 
     /// Records one window's completions.
@@ -60,8 +72,10 @@ impl TimingAccumulator {
     ) {
         for (f, completed) in completions.iter().enumerate() {
             let Some(done) = completed else { continue };
-            let latency = done.saturating_since(window_start);
-            self.latencies_us.push(latency.as_micros());
+            let latency = done.saturating_since(window_start).as_micros();
+            self.latencies_us.push(latency);
+            self.sum_us += latency;
+            self.max_us = self.max_us.max(latency);
             let playout = window_start
                 + cycle
                 + SimDuration::from_micros(frame_duration.as_micros() * f as u64);
@@ -71,14 +85,17 @@ impl TimingAccumulator {
         }
     }
 
-    /// Finalises the statistics.
+    /// Finalises the statistics. The variance takes a second pass over
+    /// the latencies around their mean, not a running sum of squares: the
+    /// artifacts print `jitter_us` at full precision, and the two forms
+    /// round differently.
     pub fn stats(&self) -> TimingStats {
         let n = self.latencies_us.len();
         if n == 0 {
             return TimingStats::default();
         }
         let nf = n as f64;
-        let mean = self.latencies_us.iter().sum::<u64>() as f64 / nf;
+        let mean = self.sum_us as f64 / nf;
         let var = self
             .latencies_us
             .iter()
@@ -91,7 +108,7 @@ impl TimingAccumulator {
         TimingStats {
             frames_measured: n,
             mean_latency_us: mean,
-            max_latency_us: self.latencies_us.iter().copied().max().unwrap_or(0),
+            max_latency_us: self.max_us,
             jitter_us: var.sqrt(),
             late_frames: self.late_frames,
         }

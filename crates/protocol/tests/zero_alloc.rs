@@ -1,7 +1,7 @@
 //! Proves a steady-state planning round never touches the heap.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator. After a
-//! warm-up plan — which folds in the one ACK (building its
+//! warm-up plan — which folds in the one ACK (filling the server's
 //! `AdaptationRecord`), builds the window plan and memoizes it — every
 //! further `Server::plan_window` call sees no fresh feedback and the same
 //! estimates, so it must return the memoized plan without allocating.
@@ -62,7 +62,7 @@ fn steady_state_memo_hit_does_not_allocate() {
 
     // Warm-up: applies the feedback and builds and memoizes the plan.
     let warm = server.plan_window(&poset);
-    assert!(server.take_last_adaptation().is_some());
+    assert!(server.last_adaptation().is_some());
 
     // Measure several rounds and take the *minimum* delta: the libtest
     // main thread may allocate concurrently right after spawning this
@@ -74,7 +74,7 @@ fn steady_state_memo_hit_does_not_allocate() {
         for _ in 0..10_000 {
             let plan = server.plan_window(&poset);
             assert!(Arc::ptr_eq(&plan, &warm), "a memo hit shares the plan");
-            assert!(server.take_last_adaptation().is_none());
+            assert!(server.last_adaptation().is_none());
             std::hint::black_box(plan.critical_frames().sum::<usize>());
             std::hint::black_box(plan.layer_sizes());
             std::hint::black_box(plan.worst_projected_clf(&bursts));

@@ -37,6 +37,13 @@ impl WindowSeries {
         Self::default()
     }
 
+    /// An empty series with room for `windows` windows.
+    pub fn with_capacity(windows: usize) -> Self {
+        WindowSeries {
+            windows: Vec::with_capacity(windows),
+        }
+    }
+
     /// Appends the metrics of the next buffer window.
     pub fn push(&mut self, metrics: ContinuityMetrics) {
         self.windows.push(metrics);

@@ -60,11 +60,26 @@ impl HistogramCore {
     }
 
     pub(crate) fn record(&self, v: u64) {
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        self.record_n(v, 1);
+    }
+
+    /// Records `n` samples of value `v` at once: the state `n` calls of
+    /// [`Self::record`] leave (the sum wraps the same way).
+    pub(crate) fn record_n(&self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[bucket_index(v)].fetch_add(n, Ordering::Relaxed);
+        self.count.fetch_add(n, Ordering::Relaxed);
+        self.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
+        // The extremes only move outward, so a sample inside them skips
+        // the read-modify-write (a compare-exchange loop on most targets).
+        if v < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(v, Ordering::Relaxed);
+        }
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// Folds a snapshot (typically from another registry's histogram of
@@ -255,6 +270,19 @@ mod tests {
             a.buckets.iter().find(|&&(b, _)| b == bound_100),
             Some(&(bound_100, 2))
         );
+    }
+
+    #[test]
+    fn record_n_equals_n_records() {
+        let batched = HistogramCore::new();
+        let single = HistogramCore::new();
+        for (v, n) in [(3u64, 4u64), (0, 2), (17, 1), (u64::MAX, 3), (9, 0)] {
+            batched.record_n(v, n);
+            for _ in 0..n {
+                single.record(v);
+            }
+        }
+        assert_eq!(batched.snapshot(), single.snapshot());
     }
 
     #[test]

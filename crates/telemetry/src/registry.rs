@@ -2,8 +2,8 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, RwLock, Weak};
 use std::time::Instant;
 
 use crate::event::Event;
@@ -65,6 +65,14 @@ impl Histogram {
         self.0.record(v);
     }
 
+    /// Records `n` samples of value `v` at once, leaving exactly the
+    /// state `n` calls of [`record`](Histogram::record) would: for a
+    /// recorder that tallies small values locally and publishes once.
+    #[inline]
+    pub fn record_n(&self, v: u64, n: u64) {
+        self.0.record_n(v, n);
+    }
+
     /// Times `f` and records the elapsed wall-clock nanoseconds.
     #[inline]
     pub fn time<R>(&self, f: impl FnOnce() -> R) -> R {
@@ -117,6 +125,9 @@ struct Inner {
     events: Mutex<Vec<Event>>,
     events_dropped: AtomicU64,
     event_cap: usize,
+    /// Set once the log is seen at its cap. The log never shrinks, so a
+    /// set flag lets `emit_with` count a drop without the lock.
+    events_full: AtomicBool,
 }
 
 impl Default for Inner {
@@ -128,6 +139,7 @@ impl Default for Inner {
             events: Mutex::default(),
             events_dropped: AtomicU64::new(0),
             event_cap: EVENT_CAP,
+            events_full: AtomicBool::new(false),
         }
     }
 }
@@ -237,12 +249,24 @@ impl Registry {
     /// Appends an event to the log (dropped and counted once the cap is
     /// reached).
     pub fn emit(&self, event: Event) {
-        let mut events = mutex_lock(&self.inner.events);
-        if events.len() < self.inner.event_cap {
-            events.push(event);
-        } else {
-            self.inner.events_dropped.fetch_add(1, Ordering::Relaxed);
+        self.emit_with(|| event);
+    }
+
+    /// Appends the event `build` makes, calling `build` only when the log
+    /// has room: a full log counts the drop exactly as
+    /// [`emit`](Registry::emit) does and builds nothing, so an event that
+    /// copies vectors costs nothing once the cap is reached. `build` runs
+    /// under the event-log lock and must not emit into this registry.
+    pub fn emit_with(&self, build: impl FnOnce() -> Event) {
+        if !self.inner.events_full.load(Ordering::Relaxed) {
+            let mut events = mutex_lock(&self.inner.events);
+            if events.len() < self.inner.event_cap {
+                events.push(build());
+                return;
+            }
+            self.inner.events_full.store(true, Ordering::Relaxed);
         }
+        self.inner.events_dropped.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A copy of the event log.
@@ -312,7 +336,22 @@ pub fn global() -> &'static Registry {
 thread_local! {
     /// Stack of thread-local registry overrides (see [`with_current`]).
     static CURRENT: RefCell<Vec<Registry>> = const { RefCell::new(Vec::new()) };
+    /// The counters [`count`] resolved on this thread, by registry and
+    /// name, so a repeated count skips the registry's name lookup.
+    static RESOLVED: RefCell<Vec<Resolved>> = const { RefCell::new(Vec::new()) };
 }
+
+/// One [`count`] memo entry. The `Weak` keeps the registry's allocation
+/// (not its contents) alive, so no later registry can reuse its address
+/// while the entry stands.
+struct Resolved {
+    registry: Weak<Inner>,
+    name: &'static str,
+    counter: Counter,
+}
+
+/// Memo entries per thread; a full memo starts over.
+const RESOLVED_CAP: usize = 32;
 
 /// Pops the thread-local override on scope exit, including unwinds.
 struct CurrentGuard;
@@ -353,9 +392,36 @@ pub fn span(name: &str) -> SpanGuard {
 }
 
 /// Adds `n` to the named counter of the [`current`] registry.
-#[inline]
-pub fn count(name: &str, n: u64) {
-    current().counter(name).add(n);
+///
+/// The handle is resolved once per thread, registry and name (the name
+/// compared by address), so a hot caller — a cache counting its hits —
+/// pays no lock and no name lookup after the first count.
+pub fn count(name: &'static str, n: u64) {
+    CURRENT.with(|stack| {
+        let stack = stack.borrow();
+        let registry = stack.last().unwrap_or_else(|| global());
+        let inner = Arc::as_ptr(&registry.inner);
+        RESOLVED.with(|memo| {
+            let mut memo = memo.borrow_mut();
+            let hit = memo
+                .iter()
+                .find(|r| r.registry.as_ptr() == inner && std::ptr::eq(r.name, name));
+            if let Some(r) = hit {
+                r.counter.add(n);
+                return;
+            }
+            let counter = registry.counter(name);
+            counter.add(n);
+            if memo.len() >= RESOLVED_CAP {
+                memo.clear();
+            }
+            memo.push(Resolved {
+                registry: Arc::downgrade(&registry.inner),
+                name,
+                counter,
+            });
+        });
+    });
 }
 
 /// A point-in-time copy of a whole registry.
@@ -511,6 +577,59 @@ mod tests {
         let snap = r.snapshot();
         assert_eq!(snap.events.len(), EVENT_CAP);
         assert_eq!(snap.events_dropped, 10);
+    }
+
+    #[test]
+    fn emit_with_builds_only_when_the_log_has_room() {
+        let r = Registry::with_event_cap(2);
+        let built = std::cell::Cell::new(0);
+        let event = |w: u64| {
+            built.set(built.get() + 1);
+            Event::WindowMetrics {
+                window: w,
+                lost: 0,
+                window_len: 1,
+                clf: 0,
+            }
+        };
+        for w in 0..5 {
+            r.emit_with(|| event(w));
+        }
+        assert_eq!(built.get(), 2, "a full log builds nothing");
+        let snap = r.snapshot();
+        assert_eq!(snap.events.len(), 2);
+        assert_eq!(snap.events_dropped, 3, "each drop counted once");
+        // `emit` and `emit_with` count a drop alike.
+        r.emit(event(5));
+        assert_eq!(r.snapshot().events_dropped, 4);
+        let closed = Registry::with_event_cap(0);
+        closed.emit_with(|| unreachable!("a zero-cap log builds nothing"));
+        assert_eq!(closed.snapshot().events_dropped, 1);
+    }
+
+    #[test]
+    fn count_reaches_the_registry_current_at_each_call() {
+        const NAME: &str = "telemetry.test.memo";
+        let a = Registry::new();
+        let b = Registry::new();
+        with_current(&a, || {
+            count(NAME, 1);
+            with_current(&b, || count(NAME, 10));
+            count(NAME, 2);
+        });
+        assert_eq!(a.snapshot().counter(NAME), Some(3));
+        assert_eq!(b.snapshot().counter(NAME), Some(10));
+        // Registries made and dropped one after another each get only
+        // their own counts, though one may sit where the last one was.
+        for i in 1..=(2 * RESOLVED_CAP as u64) {
+            let fresh = Registry::new();
+            with_current(&fresh, || count(NAME, i));
+            assert_eq!(fresh.snapshot().counter(NAME), Some(i));
+        }
+        // A distinct name is a distinct counter.
+        with_current(&a, || count("telemetry.test.memo_other", 4));
+        assert_eq!(a.snapshot().counter("telemetry.test.memo_other"), Some(4));
+        assert_eq!(a.snapshot().counter(NAME), Some(3));
     }
 
     #[test]
