@@ -45,6 +45,7 @@ impl<E> EventQueue<E> {
 
     /// Schedules `event` to fire at `at`, after every pending event due
     /// at or before `at`.
+    #[inline]
     pub fn schedule(&mut self, at: SimTime, event: E) {
         if self.ring.back().is_none_or(|&(last, _)| last <= at) {
             self.ring.push_back((at, event));

@@ -59,7 +59,7 @@ pub use droptail::{DropTailConfig, DropTailQueue};
 pub use event::EventQueue;
 pub use gilbert::{ChannelState, GilbertModel};
 pub use link::{Link, LinkStats, TransmitOutcome};
-pub use lossmodel::{LossProcess, ReplayTrace};
+pub use lossmodel::LossProcess;
 pub use packet::{Delivery, Packet};
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};

@@ -160,6 +160,7 @@ impl Link {
     /// The packet queues behind any packet still serialising (FIFO),
     /// occupies the wire for its serialisation time, then either arrives
     /// `propagation` later or is dropped by the Gilbert process.
+    #[inline]
     pub fn transmit<T>(&mut self, now: SimTime, packet: Packet<T>) -> TransmitOutcome<T> {
         let departure = self.earliest_departure(now, packet.size_bytes);
         self.busy_until = departure;

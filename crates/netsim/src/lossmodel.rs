@@ -19,35 +19,6 @@ pub enum LossProcess {
     Gilbert(GilbertModel),
     /// Drop-tail bottleneck queue with cross traffic.
     DropTail(DropTailQueue),
-    /// Replays a recorded per-packet loss trace (`true` = delivered);
-    /// packets beyond the trace are delivered. Lets experiments rerun a
-    /// captured loss realisation exactly.
-    Replay(ReplayTrace),
-}
-
-/// A recorded per-packet delivery trace for [`LossProcess::Replay`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplayTrace {
-    delivered: Vec<bool>,
-    next: usize,
-}
-
-impl ReplayTrace {
-    /// Wraps a per-packet delivery record (`true` = delivered).
-    pub fn new(delivered: Vec<bool>) -> Self {
-        ReplayTrace { delivered, next: 0 }
-    }
-
-    /// Packets consumed so far.
-    pub fn position(&self) -> usize {
-        self.next
-    }
-
-    fn step(&mut self) -> bool {
-        let outcome = self.delivered.get(self.next).copied().unwrap_or(true);
-        self.next += 1;
-        outcome
-    }
 }
 
 impl LossProcess {
@@ -57,14 +28,7 @@ impl LossProcess {
         match self {
             LossProcess::Gilbert(g) => g.step_delivers(),
             LossProcess::DropTail(q) => q.offer(now, size_bytes),
-            LossProcess::Replay(r) => r.step(),
         }
-    }
-}
-
-impl From<ReplayTrace> for LossProcess {
-    fn from(r: ReplayTrace) -> Self {
-        LossProcess::Replay(r)
     }
 }
 
@@ -89,19 +53,6 @@ mod tests {
     fn gilbert_conversion_and_stepping() {
         let mut p: LossProcess = GilbertModel::new(1.0, 0.0, 1).into();
         assert!(p.step_delivers(SimTime::ZERO, 1000));
-    }
-
-    #[test]
-    fn replay_follows_trace_then_delivers() {
-        let mut p: LossProcess = ReplayTrace::new(vec![true, false, true]).into();
-        assert!(p.step_delivers(SimTime::ZERO, 1));
-        assert!(!p.step_delivers(SimTime::ZERO, 1));
-        assert!(p.step_delivers(SimTime::ZERO, 1));
-        // Beyond the recording: delivered.
-        assert!(p.step_delivers(SimTime::ZERO, 1));
-        if let LossProcess::Replay(r) = &p {
-            assert_eq!(r.position(), 4);
-        }
     }
 
     #[test]

@@ -281,6 +281,7 @@ impl ClientWindow {
     /// when the labels don't fit the negotiated session — wrong window,
     /// out-of-range frame/layer/slot/fragment, or a fragment count
     /// disagreeing with what this frame's earlier fragments declared.
+    #[inline]
     pub fn accept(&mut self, msg: &DataMsg) -> bool {
         let f = &msg.fragment;
         // frag < frags_total was already enforced by the wire decoder,

@@ -1,8 +1,9 @@
 //! Protocol and experiment configuration.
 //!
 //! Defaults follow §5.1 of the paper: 2 KiB packets, 23 ms round trip,
-//! 1.2 Mbps bandwidth, `P_good = 0.92`, buffer of `W = 2` GOPs of 12
-//! frames at 24 fps, exponential-averaging weight `α = ½`.
+//! 1.2 Mbps bandwidth, `P_good = 0.92`, exponential-averaging weight
+//! `α = ½`. The buffer (`W = 2` GOPs of 12 frames at 24 fps in §5.1) and
+//! its cycle are the stream source's.
 
 use std::fmt;
 
@@ -131,8 +132,6 @@ pub struct ProtocolConfig {
     pub p_good: f64,
     /// Gilbert BAD→BAD stay probability.
     pub p_bad: f64,
-    /// Frame rate of the stream (LDUs per second).
-    pub fps: u32,
     /// Exponential-averaging weight α of eq. (1).
     pub alpha: f64,
     /// Initial burst estimate as a fraction of each layer's length
@@ -161,7 +160,6 @@ impl ProtocolConfig {
             feedback_bandwidth_bps: 64_000,
             p_good: 0.92,
             p_bad,
-            fps: 24,
             alpha: 0.5,
             initial_estimate_fraction: 0.5,
             seed,
@@ -214,9 +212,6 @@ impl ProtocolConfig {
         }
         if self.packet_bytes == 0 {
             return Err("packet size must be positive".into());
-        }
-        if self.fps == 0 {
-            return Err("frame rate must be positive".into());
         }
         for (name, p) in [("P_good", self.p_good), ("P_bad", self.p_bad)] {
             if !p.is_finite() || !(0.0..=1.0).contains(&p) {
@@ -276,7 +271,6 @@ mod tests {
         assert_eq!(c.packet_bytes, 2048);
         assert_eq!(c.p_good, 0.92);
         assert_eq!(c.p_bad, 0.6);
-        assert_eq!(c.fps, 24);
         assert_eq!(c.alpha, 0.5);
         assert!(c.validate().is_ok());
     }
@@ -310,10 +304,6 @@ mod tests {
         let mut c = ProtocolConfig::paper(0.6, 1);
         c.recovery = Recovery::Fec { group: 0 };
         assert!(c.validate().unwrap_err().contains("FEC"));
-
-        let mut c = ProtocolConfig::paper(0.6, 1);
-        c.fps = 0;
-        assert!(c.validate().is_err());
     }
 
     #[test]

@@ -48,7 +48,6 @@ pub mod client;
 pub mod config;
 pub mod feedback;
 pub mod layers;
-pub mod mux;
 pub mod negotiation;
 pub mod packetize;
 pub mod server;
@@ -64,7 +63,6 @@ pub use client::{
 pub use config::{check_wire_limits, LossModel, Ordering, ProtocolConfig, Recovery};
 pub use feedback::{AckTracker, FeedbackMsg, WindowFeedback};
 pub use layers::{LayerInfo, ScheduledFrame, WindowPlan};
-pub use mux::{aligned_av_sources, MuxReport, MuxSession, StreamId};
 pub use negotiation::{
     negotiate, AgreedSession, ClientCapabilities, FecPolicy, FecScope, NegotiationError,
     SessionOffer,

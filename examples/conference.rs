@@ -11,8 +11,22 @@
 //! ```
 
 use error_spreading::prelude::*;
-use error_spreading::protocol::{aligned_av_sources, MuxSession};
 use error_spreading::qos::score;
+
+/// Aligned audio and video sources for one channel: `windows` cycles of
+/// `w` GOPs of video plus the matching quantity of SunAudio.
+fn aligned_av_sources(
+    trace: &MpegTrace,
+    w: usize,
+    windows: usize,
+    open_gop: bool,
+) -> (StreamSource, StreamSource) {
+    let video = StreamSource::mpeg(trace, w, windows, open_gop);
+    let cycle_secs = video.frames_per_window() as f64 / f64::from(video.fps);
+    let audio_ldus = (cycle_secs * 30.0).round() as usize;
+    let audio = StreamSource::audio(AudioStream::sun_audio(), audio_ldus, windows);
+    (audio, video)
+}
 
 fn main() {
     let windows = 60; // one minute of 1 s buffer cycles
@@ -26,18 +40,17 @@ fn main() {
 
     let p_bad = 0.7;
     let seed = 77;
-    let spread = MuxSession::new(
-        ProtocolConfig::paper(p_bad, seed),
-        audio.clone(),
-        video.clone(),
-    )
-    .run();
-    let plain = MuxSession::new(
-        ProtocolConfig::paper(p_bad, seed).with_ordering(Ordering::InOrder),
-        audio,
-        video,
-    )
-    .run();
+    // Audio first in every cycle (the tighter perceptual budget), then
+    // the video's layered order.
+    let run = |ordering: Ordering| {
+        Session::new(
+            ProtocolConfig::paper(p_bad, seed).with_ordering(ordering),
+            audio.clone(),
+        )
+        .with_stream(video.clone())
+        .run_streams()
+    };
+    let (spread, plain) = (run(Ordering::spread()), run(Ordering::InOrder));
 
     let mos = |series: &WindowSeries, kind: MediaKind| {
         let total: f64 = series
@@ -53,10 +66,10 @@ fn main() {
         "stream", "mean CLF", "dev", "mean MOS"
     );
     for (label, series, kind) in [
-        ("audio plain", &plain.audio, MediaKind::Audio),
-        ("audio spread", &spread.audio, MediaKind::Audio),
-        ("video plain", &plain.video, MediaKind::Video),
-        ("video spread", &spread.video, MediaKind::Video),
+        ("audio plain", &plain[0].series, MediaKind::Audio),
+        ("audio spread", &spread[0].series, MediaKind::Audio),
+        ("video plain", &plain[1].series, MediaKind::Video),
+        ("video spread", &spread[1].series, MediaKind::Video),
     ] {
         let s = series.summary();
         println!(
@@ -68,7 +81,7 @@ fn main() {
     }
     println!(
         "\nshared channel: {} packets, {:.1}% lost — one loss process, both media protected",
-        spread.packets_offered,
-        spread.packets_lost as f64 / spread.packets_offered as f64 * 100.0
+        spread[0].packets_offered,
+        spread[0].packet_loss_rate() * 100.0
     );
 }

@@ -27,9 +27,7 @@ fn main() {
     );
 
     // A narrowband link with nasty bursts.
-    let mut config = ProtocolConfig::paper(0.7, 1234);
-    config.bandwidth_bps = 128_000;
-    config.fps = 30;
+    let config = ProtocolConfig::paper(0.7, 1234).with_bandwidth(128_000);
 
     let spread = Session::new(config.clone(), source.clone()).run();
     let plain = Session::new(config.with_ordering(Ordering::InOrder), source).run();

@@ -73,8 +73,9 @@
 //!
 //! ## 6. Using the pieces
 //!
-//! * Full protocol over the simulator: [`protocol::Session`](crate::protocol::Session)
-//!   (or [`MuxSession`](crate::protocol::MuxSession) for audio + video).
+//! * Full protocol over the simulator: [`protocol::Session`](crate::protocol::Session);
+//!   [`Session::with_stream`](crate::protocol::Session::with_stream) adds
+//!   a stream (audio + video) to the same channel.
 //! * Just the reordering inside your own transport:
 //!   [`core::Scrambler`](crate::core::Scrambler) /
 //!   [`core::Descrambler`](crate::core::Descrambler).

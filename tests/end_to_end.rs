@@ -143,9 +143,7 @@ fn audio_spread_beats_in_order() {
     let mut spread_total = 0.0;
     let mut plain_total = 0.0;
     for seed in 0..6u64 {
-        let mut cfg = ProtocolConfig::paper(0.7, 500 + seed);
-        cfg.bandwidth_bps = 128_000;
-        cfg.fps = 30;
+        let cfg = ProtocolConfig::paper(0.7, 500 + seed).with_bandwidth(128_000);
         spread_total += Session::new(cfg.clone(), src.clone())
             .run()
             .summary()

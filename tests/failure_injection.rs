@@ -77,9 +77,7 @@ fn single_gop_single_window_works() {
 fn tiny_audio_windows_work() {
     // Window of 2 LDUs: the permutation space is trivial but nothing panics.
     let src = StreamSource::audio(AudioStream::sun_audio(), 2, 8);
-    let mut cfg = ProtocolConfig::paper(0.6, 4);
-    cfg.fps = 30;
-    let report = Session::new(cfg, src).run();
+    let report = Session::new(ProtocolConfig::paper(0.6, 4), src).run();
     assert_eq!(report.series.len(), 8);
 }
 
