@@ -3,40 +3,32 @@
 //! The adaptive loop re-runs `calculatePermutation(n, b)` every time the
 //! burst estimate changes — and estimates revisit the same handful of
 //! values constantly (eq. 1 is a smoothing filter), so the exact search
-//! recomputes identical orders thousands of times per experiment. The
-//! caches here memoize the two expensive entry points behind
-//! `RwLock<HashMap>`:
+//! recomputes identical orders thousands of times per experiment.
+//! [`calculate_permutation_cached`] memoizes the search behind an
+//! [`OrderCache`] (`RwLock<HashMap>`) keyed by `(n, b)`.
 //!
-//! * [`calculate_permutation_cached`] — keyed by `(n, b)`;
-//! * [`layered_uniform_cached`] — keyed by
-//!   ([`Poset::fingerprint`], `b`).
-//!
-//! Both are process-global and thread-safe: a sweep's worker threads
+//! The cache is process-global and thread-safe: a sweep's worker threads
 //! share one warm cache. Lookups never hold a lock while computing — on
 //! a racing miss both threads compute (the search is deterministic and
 //! idempotent) and the first insert wins, so every caller sees the same
 //! [`Arc`].
 //!
-//! Both caches are **bounded** ([`DEFAULT_CACHE_CAPACITY`] entries): a
-//! long-lived server accumulating distinct `(n, b)` / fingerprint keys
-//! evicts the least-recently-used entry instead of growing without limit.
+//! Every [`OrderCache`] is **bounded** ([`DEFAULT_CACHE_CAPACITY`]
+//! entries): a long-lived server accumulating distinct keys evicts the
+//! least-recently-used entry instead of growing without limit.
 //! Evicted orders are simply recomputed on the next miss — correctness is
 //! unaffected, only warmth.
 //!
 //! Hit/miss/eviction counts are exported through `espread-telemetry` as
-//! `core.order_cache.{hits,misses,evictions}` and
-//! `core.layered_cache.{hits,misses,evictions}`, and are also available
-//! lock-free via [`spread_cache_stats`] / [`layered_cache_stats`].
+//! `core.order_cache.{hits,misses,evictions}`, and are also available
+//! lock-free via [`spread_cache_stats`].
 
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
-use espread_poset::Poset;
-
 use crate::cpo::{calculate_permutation, SpreadChoice};
-use crate::layered::LayeredOrder;
 
 /// Default capacity for the process-global order caches. A long-lived
 /// server revisits a small set of `(n, b)` pairs (eq. 1 smooths the burst
@@ -206,17 +198,6 @@ fn spread_cache() -> &'static OrderCache<(usize, usize), SpreadChoice> {
     })
 }
 
-fn layered_cache() -> &'static OrderCache<(u64, usize), LayeredOrder> {
-    static CACHE: OnceLock<OrderCache<(u64, usize), LayeredOrder>> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        OrderCache::new(
-            "core.layered_cache.hits",
-            "core.layered_cache.misses",
-            "core.layered_cache.evictions",
-        )
-    })
-}
-
 /// [`calculate_permutation`] through the
 /// process-global `(n, b)` cache. The search is deterministic, so the
 /// cached choice is exactly what a fresh call would return.
@@ -224,22 +205,9 @@ pub fn calculate_permutation_cached(n: usize, b: usize) -> Arc<SpreadChoice> {
     spread_cache().get_or_compute(&(n, b), || calculate_permutation(n, b))
 }
 
-/// [`LayeredOrder::with_uniform_bound`] through the process-global
-/// (poset fingerprint, `b`) cache.
-pub fn layered_uniform_cached(poset: &Poset, b: usize) -> Arc<LayeredOrder> {
-    layered_cache().get_or_compute(&(poset.fingerprint(), b), || {
-        LayeredOrder::with_uniform_bound(poset, b)
-    })
-}
-
 /// Counters for the `(n, b)` spread-order cache.
 pub fn spread_cache_stats() -> CacheStats {
     spread_cache().stats()
-}
-
-/// Counters for the layered-order cache.
-pub fn layered_cache_stats() -> CacheStats {
-    layered_cache().stats()
 }
 
 #[cfg(test)]
@@ -319,20 +287,6 @@ mod tests {
             let cached = calculate_permutation_cached(n, b);
             assert_eq!(*cached, calculate_permutation(n, b), "n={n} b={b}");
         }
-    }
-
-    #[test]
-    fn layered_cache_reuses_by_fingerprint() {
-        let poset = Poset::chain(6);
-        let first = layered_uniform_cached(&poset, 2);
-        // A structurally identical poset hits the same entry.
-        let same = Poset::chain(6);
-        let second = layered_uniform_cached(&same, 2);
-        assert!(Arc::ptr_eq(&first, &second));
-        assert_eq!(*first, LayeredOrder::with_uniform_bound(&poset, 2));
-        // A different bound is a different entry.
-        let other = layered_uniform_cached(&poset, 3);
-        assert!(!Arc::ptr_eq(&first, &other));
     }
 
     #[test]

@@ -61,8 +61,8 @@ pub use burst::{
     try_burst_loss_pattern, worst_case_clf, worst_case_clf_multi,
 };
 pub use cache::{
-    calculate_permutation_cached, layered_cache_stats, layered_uniform_cached, spread_cache_stats,
-    CacheStats, OrderCache, DEFAULT_CACHE_CAPACITY,
+    calculate_permutation_cached, spread_cache_stats, CacheStats, OrderCache,
+    DEFAULT_CACHE_CAPACITY,
 };
 pub use cpo::{
     calculate_permutation, k_cpo, k_cpo_cached, max_tolerable_burst, min_window_for, OrderFamily,

@@ -16,8 +16,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use espread_core::{calculate_permutation_cached, layered_uniform_cached};
-use espread_poset::Poset;
+use espread_core::calculate_permutation_cached;
 
 struct CountingAlloc;
 
@@ -74,14 +73,12 @@ fn steady_state_order_pipeline_does_not_allocate() {
     let mut sent: Vec<u32> = Vec::with_capacity(N);
     let mut received: Vec<Option<u32>> = Vec::with_capacity(N);
     let mut playout: Vec<Option<u32>> = Vec::with_capacity(N);
-    let poset = Poset::chain(8);
 
     // Warm-up: first lookups compute the orders, insert cache entries, and
     // register the hit/miss telemetry counters; the buffers reach their
     // steady-state capacity.
     for _ in 0..3 {
         window_lap(N, B, &items, &mut sent, &mut received, &mut playout);
-        let _ = layered_uniform_cached(&poset, 2);
     }
 
     // Measure several rounds and take the *minimum* delta: the libtest
@@ -93,8 +90,6 @@ fn steady_state_order_pipeline_does_not_allocate() {
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         for _ in 0..10_000 {
             window_lap(N, B, &items, &mut sent, &mut received, &mut playout);
-            let layered = layered_uniform_cached(&poset, 2);
-            assert!(layered.layer_count() > 0);
         }
         min_delta = min_delta.min(ALLOCATIONS.load(Ordering::Relaxed) - before);
     }

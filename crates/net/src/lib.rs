@@ -59,6 +59,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod admission;
 pub mod client;
 mod clientcore;
 pub mod clientwin;

@@ -1,30 +1,35 @@
-//! Whole sessions with no socket: [`Pair`] joins a [`SessionCore`] and a
-//! [`ClientCore`] by plain `Vec<u8>` hand-off on one integer clock. It is
-//! a shell like the shard and `NetClient`: it hands each call its clock,
-//! carries the datagrams across, and folds each side's effects into that
-//! side's counters, flight recorder and report. Test-only.
+//! Whole sessions with no socket: [`Pair`] joins the server's
+//! [`Admission`] and [`SessionCore`] to a [`ClientCore`] by plain
+//! `Vec<u8>` hand-off on one integer clock, from the client's first
+//! `Hello`. It is a shell like the demux, the shard and `NetClient`: it
+//! hands each call its clock, carries the datagrams across, and folds
+//! each side's effects into that side's counters, flight recorder and
+//! report. Test-only.
 
 use std::collections::BTreeSet;
+use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4};
 use std::sync::Arc;
 use std::time::Duration;
 
 use espread_obs::{reconstruct, trio, EventKind, FlightRecorder, Recording};
-use espread_protocol::{
-    negotiate, FecPolicy, FecScope, ProtocolConfig, SessionOffer, StreamSource,
-};
+use espread_protocol::{FecPolicy, FecScope, ProtocolConfig, SessionOffer, StreamSource};
 use espread_trace::{GopPattern, Movie, MpegTrace};
 
+use crate::admission::Admission;
 use crate::client::{NetClientConfig, NetClientReport};
 use crate::clientcore::{ClientCore, Step};
 use crate::error::NetError;
 use crate::obsrec::SessionRecorder;
-use crate::retry::RetryPolicy;
-use crate::session::{earliest, Ctx, OutQueue, SessionCore, SessionLimits};
+use crate::server::NetServerConfig;
+use crate::session::{earliest, Ctx, OutQueue, SessionCore};
 use crate::telem::{ClientTelem, ServerTelem};
-use crate::wire::{self, Accept, Msg};
+use crate::wire::{self, Msg};
 
 pub(crate) const NONCE: u64 = 7 << 32;
+/// The id admission gives the first session.
 pub(crate) const CONN: u32 = 1;
+/// The client's address, as admission sees it.
+const CLIENT: SocketAddr = SocketAddr::V4(SocketAddrV4::new(Ipv4Addr::LOCALHOST, 9));
 /// The shared clock's start: far enough from 0 that nothing clamps.
 const T0: u64 = 1_000;
 
@@ -34,6 +39,23 @@ pub(crate) fn decode(datagram: &[u8]) -> Msg {
 
 pub(crate) fn rs82() -> FecPolicy {
     FecPolicy::rs(FecScope::All, 8, 2)
+}
+
+/// The server config the crate's unit tests stream under: `windows`
+/// windows of `gops` Jurassic Park GOP 12s each, served with `fec`.
+pub(crate) fn server_config(gops: usize, windows: usize, fec: FecPolicy) -> NetServerConfig {
+    let trace = MpegTrace::new(Movie::JurassicPark, 1);
+    let offer = SessionOffer {
+        gop_pattern: GopPattern::gop12(),
+        gops_per_window: gops,
+        open_gop: false,
+        fps: 24,
+        packet_bytes: 2048,
+        max_frame_bytes: 62_776 / 8,
+        fec,
+    };
+    let source = StreamSource::mpeg(&trace, gops, windows, false);
+    NetServerConfig::new(ProtocolConfig::paper(0.6, 1), offer, source)
 }
 
 /// One client input, logged with its clock so a script replays.
@@ -59,12 +81,15 @@ pub(crate) fn apply(
     Ok(Step::Pending)
 }
 
-/// A `SessionCore` and a `ClientCore` joined by plain `Vec<u8>`
-/// hand-off on one integer clock: a session with no socket. Like the
-/// shard and `NetClient`, the harness folds each side's effects into
-/// its books, here with a flight recorder attached to each side.
+/// The server's admission and session and a `ClientCore` joined by
+/// plain `Vec<u8>` hand-off on one integer clock: a session with no
+/// socket. Like the demux, the shard and `NetClient`, the harness folds
+/// each side's effects into its books, here with a flight recorder
+/// attached to each side.
 pub(crate) struct Pair {
-    server: SessionCore,
+    admission: Admission,
+    /// The session admission opened, once a `Hello` crossed.
+    server: Option<SessionCore>,
     client: ClientCore,
     now: u64,
     to_client: OutQueue,
@@ -80,68 +105,30 @@ pub(crate) struct Pair {
 }
 
 impl Pair {
-    /// Runs the handshake (never lost) and begins a stream of
-    /// `windows` Jurassic Park windows, one GOP 12 each.
+    /// A client about to send its `Hello` for a stream of `windows`
+    /// Jurassic Park windows, one GOP 12 each.
     pub(crate) fn connect(windows: usize, fec: FecPolicy) -> Self {
-        let trace = MpegTrace::new(Movie::JurassicPark, 1);
-        let source = StreamSource::mpeg(&trace, 1, windows, false);
-        Self::connect_to(source, fec, NetClientConfig::default())
+        Self::connect_to(server_config(1, windows, fec), NetClientConfig::default())
     }
 
-    /// Runs the handshake (never lost) and begins streaming `source` to
-    /// a client configured by `config`.
-    fn connect_to(source: StreamSource, fec: FecPolicy, config: NetClientConfig) -> Self {
-        let mut client = ClientCore::new(config.clone(), NONCE);
-        let (mut to_client, mut to_server) = (OutQueue::default(), OutQueue::default());
+    /// A client configured by `config`, about to send its `Hello` to a
+    /// server configured by `server`, unpaced. The handshake crosses in
+    /// the first rounds, and the client begins the stream once accepted.
+    fn connect_to(mut server: NetServerConfig, config: NetClientConfig) -> Self {
+        server.pace = Duration::ZERO;
+        let mut client = ClientCore::new(config, NONCE);
+        let mut to_server = OutQueue::default();
         client.start(&mut Ctx {
             now: T0,
             out: &mut to_server,
         });
-        let mut hellos = Vec::new();
-        to_server.drain(|d| hellos.push(decode(d)));
-        let [Msg::Hello(hello)] = &hellos[..] else {
-            panic!("one Hello: {hellos:?}");
-        };
-        let offer = SessionOffer {
-            gop_pattern: GopPattern::gop12(),
-            gops_per_window: 1,
-            open_gop: false,
-            fps: 24,
-            packet_bytes: 2048,
-            max_frame_bytes: 62_776 / 8,
-            fec,
-        };
-        let agreed = negotiate(offer, config.capabilities).expect("the offer fits");
-        let narrow = |v: &[usize]| v.iter().map(|&x| x as u16).collect();
-        let accept = Accept {
-            nonce: hello.nonce,
-            frames_per_window: agreed.offer.frames_per_window() as u16,
-            windows_total: source.window_count() as u32,
-            packet_bytes: agreed.offer.packet_bytes,
-            fps: agreed.offer.fps,
-            layer_sizes: narrow(&agreed.layer_sizes),
-            critical_frames: narrow(&agreed.critical_frames),
-        };
-        let mut server = SessionCore::new(
-            CONN,
-            ProtocolConfig::paper(0.6, 1).with_ordering(hello.ordering),
-            source,
-            RetryPolicy::lan(),
-            Duration::ZERO,
-            fec,
-            SessionLimits::unlimited(),
-            T0,
-        );
-        server.start(&mut Ctx {
-            now: T0,
-            out: &mut to_client,
-        });
         let (srec, _, crec) = trio(1 << 16, 0);
-        let mut pair = Pair {
-            server,
+        Pair {
+            admission: Admission::new(server),
+            server: None,
             client,
             now: T0,
-            to_client,
+            to_client: OutQueue::default(),
             to_server,
             inputs: vec![(T0, Input::Start)],
             clocks: BTreeSet::from([T0]),
@@ -149,11 +136,7 @@ impl Pair {
             client_books: ClientTelem::new(SessionRecorder::attached(crec.clone())),
             report: NetClientReport::default(),
             recorders: [srec, crec],
-        };
-        let accept = wire::try_encode(CONN, &Msg::Accept(accept)).unwrap();
-        assert_eq!(pair.feed(Input::Datagram(accept)).unwrap(), Step::Connected);
-        pair.feed(Input::Begin).unwrap();
-        pair
+        }
     }
 
     fn feed(&mut self, input: Input) -> Result<Step, NetError> {
@@ -193,8 +176,10 @@ impl Pair {
             now: self.now,
             out: &mut self.to_client,
         };
-        self.server.on_deadline(ctx);
-        self.server.on_tick(ctx);
+        if let Some(server) = &mut self.server {
+            server.on_deadline(ctx);
+            server.on_tick(ctx);
+        }
         let mut step = Step::Pending;
         if self.client.next_deadline().is_some_and(|t| t <= self.now) {
             step = self.feed(Input::Deadline).expect("the stream heals");
@@ -206,6 +191,10 @@ impl Pair {
             if deliver(&decode(&d)) {
                 match self.feed(Input::Datagram(d)).expect("the stream heals") {
                     Step::Pending => {}
+                    // Accepted: begin the stream, as `NetClient` does.
+                    Step::Connected => {
+                        self.feed(Input::Begin).expect("a Begin queues");
+                    }
                     s => step = s,
                 }
             }
@@ -214,18 +203,42 @@ impl Pair {
         self.to_server.drain(|d| up.push(decode(d)));
         crossed |= !up.is_empty();
         for msg in up.iter().filter(|m| deliver(m)) {
-            let ctx = &mut Ctx {
-                now: self.now,
-                out: &mut self.to_client,
-            };
-            self.server.on_msg(msg, self.now, ctx);
+            self.serve(msg);
         }
         self.fold();
         if !crossed {
-            let next = earliest(self.server.next_deadline(), self.client.next_deadline());
+            let server = self.server.as_ref().and_then(SessionCore::next_deadline);
+            let next = earliest(server, self.client.next_deadline());
             self.now = next.expect("a deadline is armed").max(self.now);
         }
         step
+    }
+
+    /// A datagram reaches the server: admission answers a `Hello` and
+    /// may open the session, which takes every other datagram.
+    fn serve(&mut self, msg: &Msg) {
+        let ctx = &mut Ctx {
+            now: self.now,
+            out: &mut self.to_client,
+        };
+        let Msg::Hello(hello) = msg else {
+            if let Some(server) = &mut self.server {
+                server.on_msg(msg, self.now, ctx);
+            }
+            return;
+        };
+        let mut opened = None;
+        self.admission.on_hello(CLIENT, hello, ctx, |core| {
+            opened = Some(core);
+            true
+        });
+        if let Some(mut core) = opened {
+            core.start(ctx);
+            assert!(
+                self.server.replace(core).is_none(),
+                "one client, one session"
+            );
+        }
     }
 
     /// Rounds until the client's stream ends.
@@ -233,7 +246,7 @@ impl Pair {
         for _ in 0..100_000 {
             if self.round(deliver) == Step::Done {
                 assert_eq!(
-                    self.server.next_deadline(),
+                    self.server.as_ref().and_then(SessionCore::next_deadline),
                     None,
                     "the ByeAck crossed and ended the server session too"
                 );
@@ -289,6 +302,56 @@ fn a_session_with_no_socket_completes_and_heals_through_deadlines() {
     assert_eq!(healed.patterns, report.patterns, "no loss reached playout");
 }
 
+/// The handshake crosses like any datagram: a lost `Accept` is answered
+/// again from admission's cache when the client's `Hello` retry comes,
+/// and the stream completes on the one session.
+#[test]
+fn a_lost_accept_is_answered_again_from_the_cache() {
+    let mut accepts = Vec::new();
+    let mut pair = Pair::connect(2, rs82());
+    pair.finish(&mut |msg: &Msg| match msg {
+        Msg::Accept(_) => {
+            accepts.push(wire::try_encode(CONN, msg).unwrap());
+            accepts.len() > 1
+        }
+        _ => true,
+    });
+    assert_eq!(accepts.len(), 2, "lost once, then answered again");
+    assert_eq!(accepts[0], accepts[1], "the cached Accept, byte for byte");
+    let delivered = pair.inputs.iter().find_map(|(_, input)| match input {
+        Input::Datagram(d) if matches!(decode(d), Msg::Accept(_)) => Some(d),
+        _ => None,
+    });
+    assert_eq!(delivered, Some(&accepts[0]), "the datagram that crossed");
+    assert_eq!(pair.admission.peer(CONN + 1), None, "one session admitted");
+    let report = pair.client.report(pair.report);
+    assert_eq!(report.hello_retries, 1);
+    assert_eq!(report.windows_completed, report.windows_total);
+}
+
+/// A duplicated `Hello` admits exactly one session: the copy gets the
+/// cached `Accept`, which the connected client ignores.
+#[test]
+fn a_duplicated_hello_admits_exactly_one_session() {
+    let mut pair = Pair::connect(2, rs82());
+    let mut hellos = Vec::new();
+    pair.to_server.drain(|d| hellos.push(d.to_vec()));
+    assert_eq!(hellos.len(), 1);
+    for d in [&hellos[0], &hellos[0]] {
+        pair.to_server.push_encoded(d);
+    }
+    let mut accepts = 0;
+    pair.finish(&mut |msg: &Msg| {
+        accepts += usize::from(matches!(msg, Msg::Accept(_)));
+        true
+    });
+    assert_eq!(accepts, 2, "each copy was answered");
+    assert_eq!(pair.admission.peer(CONN), Some(CLIENT));
+    assert_eq!(pair.admission.peer(CONN + 1), None, "one session admitted");
+    let report = pair.client.report(pair.report);
+    assert_eq!(report.windows_completed, report.windows_total);
+}
+
 /// How many events of `kind` a recording holds.
 fn count(recording: &Recording, kind: EventKind) -> u64 {
     recording.events.iter().filter(|e| e.kind == kind).count() as u64
@@ -335,13 +398,12 @@ fn a_recording_through_the_harness_carries_the_harness_clock() {
 /// agree count for count.
 #[test]
 fn the_report_and_the_recording_fold_the_same_effects() {
-    let trace = MpegTrace::new(Movie::JurassicPark, 1);
-    let source = StreamSource::mpeg(&trace, 1, 4, false);
     let config = NetClientConfig {
         recovery: true,
         ..NetClientConfig::default()
     };
-    let mut pair = Pair::connect_to(source, FecPolicy::rs(FecScope::All, 4, 1), config);
+    let fec = FecPolicy::rs(FecScope::All, 4, 1);
+    let mut pair = Pair::connect_to(server_config(1, 4, fec), config);
     let mut n = 0u32;
     // Two of every nine first transmissions are lost: a group that
     // loses one repairs, one that loses both needs recovery rounds.
@@ -377,11 +439,10 @@ fn the_report_and_the_recording_fold_the_same_effects() {
 /// second window and the teardown fit in the capacity it left.
 #[test]
 fn effect_buffers_keep_their_capacity_across_identical_windows() {
-    let trace = MpegTrace::new(Movie::JurassicPark, 1);
-    let mut source = StreamSource::mpeg(&trace, 1, 2, false);
-    let first = source.windows[0].clone();
-    Arc::make_mut(&mut source.windows).fill(first);
-    let mut pair = Pair::connect_to(source, rs82(), NetClientConfig::default());
+    let mut server = server_config(1, 2, rs82());
+    let first = server.source.windows[0].clone();
+    Arc::make_mut(&mut server.source.windows).fill(first);
+    let mut pair = Pair::connect_to(server, NetClientConfig::default());
     let mut all = |_: &Msg| true;
     while pair.report.acks_sent == 0 {
         assert_eq!(pair.round(&mut all), Step::Pending);

@@ -88,6 +88,13 @@ impl OutQueue {
         span.map(|span| self.spans.push(span)).is_ok()
     }
 
+    /// Queues an already-encoded datagram.
+    pub(crate) fn push_encoded(&mut self, datagram: &[u8]) {
+        let start = self.bytes.len();
+        self.bytes.extend_from_slice(datagram);
+        self.spans.push(start..self.bytes.len());
+    }
+
     /// Hands every queued datagram to `send`, in encode order, and
     /// empties the queue.
     pub(crate) fn drain(&mut self, mut send: impl FnMut(&[u8])) {
@@ -173,6 +180,13 @@ pub(crate) fn data_labels(conn: u32, data: &DataMsg) -> DataLabels {
 /// client, the report's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Effect {
+    // ── admission ───────────────────────────────────────────────
+    /// A `Hello` opened a session.
+    Admitted,
+    /// A `Hello` at the session cap was refused with `Busy`.
+    Busy,
+    /// Caching a handshake reply expired or evicted this many others.
+    HandshakeEvictions(u64),
     // ── server session ──────────────────────────────────────────
     /// A frame entered the window's schedule at transmission slot `.1`.
     Queued(FrameLabels, u32),

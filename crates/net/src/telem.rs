@@ -25,11 +25,12 @@ use crate::session::Effect;
 /// and the fold of the session cores' effects.
 #[derive(Debug, Clone)]
 pub(crate) struct ServerTelem {
-    pub(crate) sessions: Counter,
+    sessions: Counter,
     sessions_completed: Counter,
     pub(crate) sessions_reaped: Counter,
-    pub(crate) handshake_evictions: Counter,
-    pub(crate) busy_rejections: Counter,
+    handshake_evictions: Counter,
+    busy_rejections: Counter,
+    pub(crate) foreign_source: Counter,
     shed_enhancement: Counter,
     shed_stale_retx: Counter,
     watchdog_terminations: Counter,
@@ -43,7 +44,7 @@ pub(crate) struct ServerTelem {
     ack_timeouts: Counter,
     handshake_timeouts: Counter,
     retransmissions: Counter,
-    pub(crate) encode_oversize: Counter,
+    encode_oversize: Counter,
     fec_groups: Counter,
     fec_parity_sent: Counter,
     rtt_us: Histogram,
@@ -60,6 +61,7 @@ impl ServerTelem {
             sessions_reaped: r.counter("net.server.sessions_reaped"),
             handshake_evictions: r.counter("net.server.handshake_evictions"),
             busy_rejections: r.counter("net.server.busy_rejections"),
+            foreign_source: r.counter("net.server.foreign_source"),
             shed_enhancement: r.counter("net.server.shed_enhancement"),
             shed_stale_retx: r.counter("net.server.shed_stale_retx"),
             watchdog_terminations: r.counter("net.server.watchdog_terminations"),
@@ -93,10 +95,13 @@ impl ServerTelem {
         }
     }
 
-    /// Books one session effect, which happened at `at` on the server
-    /// clock.
+    /// Books one admission or session effect, which happened at `at` on
+    /// the server clock.
     pub(crate) fn fold(&self, at: u64, effect: Effect) {
         match effect {
+            Effect::Admitted => self.sessions.inc(),
+            Effect::Busy => self.busy_rejections.inc(),
+            Effect::HandshakeEvictions(n) => self.handshake_evictions.add(n),
             Effect::SendRefused(_) | Effect::EncodeOversize => self.encode_oversize.inc(),
             Effect::ShedEnhancement(_) => self.shed_enhancement.inc(),
             Effect::ShedStaleRetx(_) => self.shed_stale_retx.inc(),
@@ -408,6 +413,9 @@ mod tests {
             Effect::HandshakeTimeout,
             Effect::WatchdogTermination,
             Effect::SessionComplete,
+            Effect::Admitted,
+            Effect::Busy,
+            Effect::HandshakeEvictions(3),
         ];
         let (snapshot, recording) = fold(ServerTelem::new, ServerTelem::fold, &stream);
         let c = |name| counter(&snapshot, name);
@@ -439,7 +447,10 @@ mod tests {
             snapshot.histogram("net.server.rtt_us").map(|h| h.count),
             Some(1)
         );
+        assert_eq!(c("net.server.handshake_evictions"), 3);
         for name in [
+            "net.server.sessions",
+            "net.server.busy_rejections",
             "net.server.retries",
             "net.server.handshake_timeouts",
             "net.server.watchdog_terminations",

@@ -12,44 +12,18 @@ use std::net::UdpSocket;
 use std::time::Duration;
 
 use espread_net::{
-    FaultPolicy, FaultProxy, NetClient, NetClientConfig, NetServer, NetServerConfig, RetryPolicy,
+    FaultPolicy, FaultProxy, NetClient, NetClientConfig, NetServer, NetServerConfig,
 };
 use espread_protocol::{FecPolicy, FecScope, Ordering, ProtocolConfig, SessionOffer, StreamSource};
-use espread_trace::{GopPattern, Movie, MpegTrace};
+use espread_trace::{Movie, MpegTrace};
 
-fn paper_offer(gops_per_window: usize) -> SessionOffer {
-    SessionOffer {
-        gop_pattern: GopPattern::gop12(),
-        gops_per_window,
-        open_gop: false,
-        fps: 24,
-        packet_bytes: 2048,
-        max_frame_bytes: 62_776 / 8,
-        fec: FecPolicy::off(),
-    }
-}
-
-fn server_config(windows: usize) -> NetServerConfig {
-    let trace = MpegTrace::new(Movie::JurassicPark, 1);
-    NetServerConfig::new(
-        ProtocolConfig::paper(0.6, 1),
-        paper_offer(2),
-        StreamSource::mpeg(&trace, 2, windows, false),
-    )
-}
-
-fn quick_retry() -> RetryPolicy {
-    RetryPolicy {
-        max_attempts: 6,
-        base: Duration::from_millis(20),
-        max: Duration::from_millis(200),
-    }
-}
+mod common;
+use common::{paper_offer, quick_retry, server_config};
 
 /// One full session through a seeded Gilbert proxy; returns the
 /// per-window CLF values and the mean.
 fn run_once(ordering: Ordering, seed: u64, windows: usize) -> (Vec<usize>, f64) {
-    let mut server = NetServer::bind("127.0.0.1:0", server_config(windows)).unwrap();
+    let mut server = NetServer::bind("127.0.0.1:0", server_config(windows, 2)).unwrap();
     let mut proxy = FaultProxy::spawn(
         server.local_addr(),
         FaultPolicy::transparent().gilbert_data_loss(0.92, 0.6, seed),
@@ -101,7 +75,7 @@ fn spread_beats_in_order_on_the_same_loss_realisation_deterministically() {
 #[test]
 fn retries_recover_from_dropped_control_datagrams() {
     const WINDOWS: usize = 3;
-    let mut server = NetServer::bind("127.0.0.1:0", server_config(WINDOWS)).unwrap();
+    let mut server = NetServer::bind("127.0.0.1:0", server_config(WINDOWS, 2)).unwrap();
     let mut proxy = FaultProxy::spawn(
         server.local_addr(),
         FaultPolicy::transparent().drop_first_control(2),
@@ -135,7 +109,7 @@ fn retries_recover_from_dropped_control_datagrams() {
 #[test]
 fn duplicates_and_reordering_do_not_corrupt_the_stream() {
     const WINDOWS: usize = 3;
-    let mut server = NetServer::bind("127.0.0.1:0", server_config(WINDOWS)).unwrap();
+    let mut server = NetServer::bind("127.0.0.1:0", server_config(WINDOWS, 2)).unwrap();
     let mut proxy = FaultProxy::spawn(
         server.local_addr(),
         FaultPolicy::transparent()
@@ -165,7 +139,7 @@ fn duplicates_and_reordering_do_not_corrupt_the_stream() {
 #[test]
 fn server_demuxes_concurrent_sessions() {
     const WINDOWS: usize = 2;
-    let mut server = NetServer::bind("127.0.0.1:0", server_config(WINDOWS)).unwrap();
+    let mut server = NetServer::bind("127.0.0.1:0", server_config(WINDOWS, 2)).unwrap();
     let addr = server.local_addr();
     let spawn = |ordering: Ordering| {
         std::thread::spawn(move || {
@@ -198,7 +172,7 @@ fn server_demuxes_concurrent_sessions() {
 #[test]
 fn critical_nack_round_recovers_anchor_frames() {
     const WINDOWS: usize = 6;
-    let mut server = NetServer::bind("127.0.0.1:0", server_config(WINDOWS)).unwrap();
+    let mut server = NetServer::bind("127.0.0.1:0", server_config(WINDOWS, 2)).unwrap();
     let mut proxy = FaultProxy::spawn(
         server.local_addr(),
         FaultPolicy::transparent().gilbert_data_loss(0.92, 0.6, 7),
@@ -309,7 +283,7 @@ fn telemetry_counts_the_session_and_exports_prometheus() {
     const WINDOWS: usize = 2;
     let registry = Registry::new();
     let snapshot = with_current(&registry, || {
-        let mut server = NetServer::bind("127.0.0.1:0", server_config(WINDOWS)).unwrap();
+        let mut server = NetServer::bind("127.0.0.1:0", server_config(WINDOWS, 2)).unwrap();
         let mut proxy = FaultProxy::spawn(
             server.local_addr(),
             FaultPolicy::transparent().gilbert_data_loss(0.92, 0.6, 5),
@@ -367,7 +341,7 @@ fn telemetry_counts_the_session_and_exports_prometheus() {
 fn finished_sessions_are_reaped_from_the_connection_table() {
     const WINDOWS: usize = 2;
     const CHURN: usize = 8;
-    let mut server = NetServer::bind("127.0.0.1:0", server_config(WINDOWS)).unwrap();
+    let mut server = NetServer::bind("127.0.0.1:0", server_config(WINDOWS, 2)).unwrap();
     let addr = server.local_addr();
     for round in 0..CHURN {
         let config = NetClientConfig {
@@ -408,7 +382,7 @@ fn handshake_nonce_flood_is_bounded_by_the_cache_cap() {
     const CAP: usize = 8;
     let registry = Registry::new();
     let snapshot = with_current(&registry, || {
-        let mut config = server_config(WINDOWS);
+        let mut config = server_config(WINDOWS, 2);
         config.handshake_cap = CAP;
         let mut server = NetServer::bind("127.0.0.1:0", config).unwrap();
         let addr = server.local_addr();
@@ -470,7 +444,7 @@ fn handshake_nonce_flood_is_bounded_by_the_cache_cap() {
 #[test]
 fn steady_state_receives_issue_zero_timeout_updates() {
     const WINDOWS: usize = 4;
-    let mut server = NetServer::bind("127.0.0.1:0", server_config(WINDOWS)).unwrap();
+    let mut server = NetServer::bind("127.0.0.1:0", server_config(WINDOWS, 2)).unwrap();
     let mut proxy = FaultProxy::spawn(
         server.local_addr(),
         FaultPolicy::transparent().gilbert_data_loss(0.92, 0.6, 3),
@@ -502,7 +476,7 @@ fn steady_state_receives_issue_zero_timeout_updates() {
 #[test]
 fn hostile_datagrams_do_not_disrupt_a_live_session() {
     const WINDOWS: usize = 2;
-    let mut server = NetServer::bind("127.0.0.1:0", server_config(WINDOWS)).unwrap();
+    let mut server = NetServer::bind("127.0.0.1:0", server_config(WINDOWS, 2)).unwrap();
     let addr = server.local_addr();
     let attacker = std::thread::spawn(move || {
         let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
@@ -551,7 +525,7 @@ fn foreign_connection_bye_does_not_end_a_live_session() {
     const WINDOWS: usize = 4;
     /// Data datagrams relayed to the client before the stray `Bye`.
     const INJECT_AFTER: usize = 30;
-    let mut server = NetServer::bind("127.0.0.1:0", server_config(WINDOWS)).unwrap();
+    let mut server = NetServer::bind("127.0.0.1:0", server_config(WINDOWS, 2)).unwrap();
 
     // A transparent relay: `front` faces the client, `back` the server.
     let front = UdpSocket::bind("127.0.0.1:0").unwrap();
@@ -673,4 +647,45 @@ fn idle_shard_does_not_wake_after_its_sessions_end() {
         );
         server.shutdown();
     });
+}
+
+/// A datagram that carries a live session's id but comes from another
+/// address is dropped at the demux and counted: a third party can
+/// neither steer the session's burst estimates with a forged
+/// `WindowAck` nor keep it alive, and the real stream completes.
+#[test]
+fn a_live_conn_id_from_a_foreign_source_is_dropped_and_counted() {
+    use espread_net::wire::WindowAckMsg;
+    use espread_telemetry::{with_current, Registry};
+
+    const WINDOWS: usize = 3;
+    let registry = Registry::new();
+    let snapshot = with_current(&registry, || {
+        let mut server = NetServer::bind("127.0.0.1:0", server_config(WINDOWS, 2)).unwrap();
+        let config = NetClientConfig {
+            retry: quick_retry(),
+            ..NetClientConfig::default()
+        };
+        let client = NetClient::connect(server.local_addr(), config).unwrap();
+        // A fresh server's first session gets conn id 1.
+        let forged = espread_net::try_encode(
+            1,
+            &espread_net::Msg::WindowAck(WindowAckMsg {
+                ack_seq: u64::MAX,
+                window: 0,
+                echo_us: 1,
+                per_layer_burst: vec![9; client.session().layer_sizes.len()],
+            }),
+        )
+        .unwrap();
+        let spoofer = UdpSocket::bind("127.0.0.1:0").unwrap();
+        spoofer.send_to(&forged, server.local_addr()).unwrap();
+        let report = client.stream().unwrap();
+        server.shutdown();
+        assert_eq!(report.windows_completed, WINDOWS);
+        assert!(report.saw_bye);
+        registry.snapshot()
+    });
+    assert_eq!(snapshot.counter("net.server.sessions"), Some(1));
+    assert_eq!(snapshot.counter("net.server.foreign_source"), Some(1));
 }

@@ -9,34 +9,12 @@ use std::time::{Duration, Instant};
 
 use espread_net::wire::{self, Hello};
 use espread_net::{
-    decode, try_encode, Msg, NetClient, NetClientConfig, NetError, NetServer, NetServerConfig,
-    RetryPolicy,
+    decode, try_encode, Msg, NetClient, NetClientConfig, NetError, NetServer, RetryPolicy,
 };
-use espread_protocol::{
-    ClientCapabilities, FecPolicy, Ordering, ProtocolConfig, SessionOffer, StreamSource,
-};
-use espread_trace::{GopPattern, Movie, MpegTrace};
+use espread_protocol::{ClientCapabilities, Ordering};
 
-fn paper_offer(gops_per_window: usize) -> SessionOffer {
-    SessionOffer {
-        gop_pattern: GopPattern::gop12(),
-        gops_per_window,
-        open_gop: false,
-        fps: 24,
-        packet_bytes: 2048,
-        max_frame_bytes: 62_776 / 8,
-        fec: FecPolicy::off(),
-    }
-}
-
-fn server_config(windows: usize, gops_per_window: usize) -> NetServerConfig {
-    let trace = MpegTrace::new(Movie::JurassicPark, 1);
-    NetServerConfig::new(
-        ProtocolConfig::paper(0.6, 1),
-        paper_offer(gops_per_window),
-        StreamSource::mpeg(&trace, gops_per_window, windows, false),
-    )
-}
+mod common;
+use common::server_config;
 
 /// Occupies one admission slot and then wedges: completes the handshake,
 /// sends `Begin`, and holds the socket open without ever reading, so

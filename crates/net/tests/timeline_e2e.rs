@@ -3,42 +3,15 @@
 //! round-trip through JSON lines, and the reconstructed timeline must
 //! explain every residual loss and reproduce the client-measured CLF.
 
-use std::time::Duration;
-
 use espread_net::{
-    FaultPolicy, FaultProxy, NetClient, NetClientConfig, NetServer, NetServerConfig, RetryPolicy,
-    SessionRecorder,
+    FaultPolicy, FaultProxy, NetClient, NetClientConfig, NetServer, SessionRecorder,
 };
 use espread_obs::{
     all_to_json_lines, parse_json_lines, reconstruct, trio, FrameOutcome, DEFAULT_CAPACITY,
 };
-use espread_protocol::{FecPolicy, ProtocolConfig, SessionOffer, StreamSource};
-use espread_trace::{GopPattern, Movie, MpegTrace};
 
-fn server_config(windows: usize) -> NetServerConfig {
-    let trace = MpegTrace::new(Movie::JurassicPark, 1);
-    NetServerConfig::new(
-        ProtocolConfig::paper(0.6, 1),
-        SessionOffer {
-            gop_pattern: GopPattern::gop12(),
-            gops_per_window: 2,
-            open_gop: false,
-            fps: 24,
-            packet_bytes: 2048,
-            max_frame_bytes: 62_776 / 8,
-            fec: FecPolicy::off(),
-        },
-        StreamSource::mpeg(&trace, 2, windows, false),
-    )
-}
-
-fn quick_retry() -> RetryPolicy {
-    RetryPolicy {
-        max_attempts: 6,
-        base: Duration::from_millis(20),
-        max: Duration::from_millis(200),
-    }
-}
+mod common;
+use common::{quick_retry, server_config};
 
 /// One recorded session through a seeded Gilbert proxy: every residual
 /// loss attributed (zero violations), the reconstructed per-window CLF
@@ -49,7 +22,7 @@ fn recorded_session_timeline_attributes_every_loss_and_matches_clf() {
     const WINDOWS: usize = 8;
     let (srec, prec, crec) = trio(DEFAULT_CAPACITY, 0);
 
-    let mut cfg = server_config(WINDOWS);
+    let mut cfg = server_config(WINDOWS, 2);
     cfg.recorder = SessionRecorder::attached(srec.clone());
     let mut server = NetServer::bind("127.0.0.1:0", cfg).unwrap();
     let mut proxy = FaultProxy::spawn_with_recorder(
@@ -122,7 +95,7 @@ fn reconstruction_is_deterministic_across_reruns() {
     const WINDOWS: usize = 4;
     let run = || {
         let (srec, prec, crec) = trio(DEFAULT_CAPACITY, 0);
-        let mut cfg = server_config(WINDOWS);
+        let mut cfg = server_config(WINDOWS, 2);
         cfg.recorder = SessionRecorder::attached(srec.clone());
         let mut server = NetServer::bind("127.0.0.1:0", cfg).unwrap();
         let mut proxy = FaultProxy::spawn_with_recorder(
